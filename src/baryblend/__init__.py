@@ -22,7 +22,7 @@ from .analysis import (ChebyshevBaseline, CubicSplineBaseline, ErrorReport,
                        runge_error_table, scan_de)
 from .interpolant import (EvalOutcome, Interpolant, OpCounter,
                           dump_interpolant, load_interpolant, term_rows,
-                          zeta_eta, zeta_eta_direct)
+                          zeta_eta)
 from .nodes import NodeSet
 from .oracle import (SignScanReport, blend_form_value, blending_weights,
                      denominator_sign_scan)
@@ -42,5 +42,4 @@ __all__ = [
     "gaussian_deviates", "get_function", "lebesgue_constant",
     "lebesgue_function", "load_interpolant", "register_function",
     "runge_error_table", "scan_de", "term_rows", "zeta_eta",
-    "zeta_eta_direct",
 ]

@@ -16,7 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .interpolant import Interpolant, term_rows
+from .interpolant import Interpolant, end_coefs, pointwise, term_sums
+from .interpolant import term_rows  # noqa: F401  (public as analysis.term_rows)
 from .nodes import NodeSet, validate_samples
 from .weights import ExtParams, PrecomputedWeights
 
@@ -173,27 +174,13 @@ def lebesgue_function(nodes: NodeSet, params: ExtParams, x,
     """
     if weights is None:
         weights = PrecomputedWeights(nodes, params.validate(nodes))
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if not np.all(np.isfinite(xv)):
-        raise ValueError("non-finite input")
-    out = np.empty(xv.size)
-    CH = 4096
-    for s in range(0, xv.size, CH):
-        block = xv[s:s + CH]
-        T, off, _snap = term_rows(nodes, params, weights, block)
-        res = np.ones(block.size)
-        if T is not None:
-            abssum = np.zeros(off.sum())
-            den = np.zeros(off.sum())
-            for k in range(nodes.n + 1):
-                abssum += np.abs(T[:, k])
-                den += T[:, k]
-            res[off] = abssum / np.abs(den)
-        out[s:s + block.size] = res
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.shape(x))
+
+    def off_nodes(xo):
+        abssum, den = term_sums(nodes.xs, weights.fh, xo,
+                                ends=end_coefs(weights, nodes, params, xo))
+        return abssum / np.abs(den)
+
+    return pointwise(nodes, x, np.ones(nodes.n + 1), off_nodes)
 
 
 def _golden_max(fn, lo, hi, xtol_rel=1e-6):
@@ -277,29 +264,8 @@ class ChebyshevBaseline:
         self.ys = validate_samples(f(xs), n + 1)
 
     def __call__(self, x):
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        out = np.empty(xv.size)
-        CH = 4096
-        for s in range(0, xv.size, CH):
-            block = xv[s:s + CH]
-            snap = self.nodes.snap_indices(block)
-            off = snap < 0
-            res = np.empty(block.size)
-            res[~off] = self.ys[snap[~off]]
-            xo = block[off]
-            if xo.size:
-                num = np.zeros(xo.size)
-                den = np.zeros(xo.size)
-                for k in range(len(self.nodes)):
-                    t = self.w[k] / (xo - self.nodes.xs[k])
-                    num += t * self.ys[k]
-                    den += t
-                res[off] = num / den
-            out[s:s + block.size] = res
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.shape(x))
+        return pointwise(self.nodes, x, self.ys, lambda xo: np.divide(
+            *term_sums(self.nodes.xs, self.w, xo, self.ys)))
 
 
 class CubicSplineBaseline:
@@ -318,15 +284,7 @@ class CubicSplineBaseline:
         self._spline = CubicSpline(nodes.xs, self.ys, bc_type="not-a-knot")
 
     def __call__(self, x):
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        out = np.asarray(self._spline(xv), dtype=float)
-        snap = self.nodes.snap_indices(xv)
-        hit = snap >= 0
-        out[hit] = self.ys[snap[hit]]
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.shape(x))
+        return pointwise(self.nodes, x, self.ys, self._spline)
 
 
 def chebyshev_baseline(f: ReferenceFunction, n) -> ChebyshevBaseline:

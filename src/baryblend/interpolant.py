@@ -1,20 +1,27 @@
 """Rational interpolants blended from local polynomials, with optional
 extra low-degree interpolants at the interval ends.
 
-The evaluator works in a barycentric-like form: every node ``j`` carries a
-coefficient ``c_j(x)`` (a constant node weight plus x-dependent end
+The evaluator works in a barycentric-like form: every node ``k`` carries a
+coefficient ``c_k(x)`` (a constant node weight plus x-dependent end
 corrections), and the interpolant is the ratio
 
-    r(x) = sum_j [c_j(x) / (x - x_j)] y_j  /  sum_k [c_k(x) / (x - x_k)].
+    r(x) = sum_k t_k(x) y_k  /  sum_k t_k(x),    t_k(x) = c_k(x) / (x - x_k).
 
 With ``e = 0`` the corrections vanish and this is the classical
-Floater-Hormann form (Floater & Hormann 2007, Numer. Math. 107). The end
-corrections are evaluated in O(e) arithmetic each by a nested Horner
-recurrence, so one evaluation costs O(n + d*e) after precomputation.
+Floater-Hormann form (Floater & Hormann 2007, Numer. Math. 107). Only the
+``d`` nodes at each end carry corrections, evaluated in O(e) arithmetic
+each by a nested Horner recurrence, so one evaluation costs O(n + d*e)
+after precomputation.
 
-Numerator and denominator are accumulated strictly left to right in node
-order; the scalar and vectorized paths therefore produce bit-identical
-results. Optional two-term (Kahan) compensation is available behind a flag.
+One kernel, :func:`term_sums`, forms the terms and sums them; values, basis
+functions and the Lebesgue function are reductions of its sums. It has two
+orientations. A batch of points is swept node by node, each step updating
+the running sums of the whole batch in place. A single point forms its row
+of terms over all nodes at once and reduces it with ``np.add.accumulate``,
+which is sequential. Both add the terms strictly left to right in node
+order, starting from 0.0, so the scalar and vectorized paths produce
+bit-identical results. Optional two-term (Kahan) compensation is available
+behind a flag; a compensated single point is swept as a batch of one.
 """
 
 from __future__ import annotations
@@ -52,107 +59,149 @@ class OpCounter:
 
 
 def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
-    """End-correction functions at a scalar ``x``.
+    """End-correction functions at ``x``, a scalar or a 1-D array.
 
-    Returns ``(zeta, eta)``: ``zeta[j]`` for nodes ``j = 0 .. d-1`` and
-    ``eta[k]`` for nodes ``j = n-d+1+k .. n``. Both are zero arrays when
-    ``e = 0``. The values carry the same common scale as the stored node
-    weights.
+    Returns ``(zeta, eta)``, each of shape ``(d,) + x.shape``: ``zeta[j]``
+    for nodes ``j = 0 .. d-1`` and ``eta[k]`` for nodes
+    ``j = n-d+1+k .. n``. Both are zero when ``e = 0``. The values carry the
+    same common scale as the stored node weights.
+
+    The Horner recurrences of the ``d`` nodes at one end run side by side:
+    each step updates the nodes whose recurrence contains it, so every node
+    sees its own steps in its own order.
 
     ``x`` must not equal an endpoint (powers of ``x - x_0`` and
     ``x - x_n`` are formed); callers snap node-coincident points first.
     """
     d, e = params.d, params.e
     n = nodes.n
-    zeta = np.zeros(d)
-    eta = np.zeros(d)
+    x = np.asarray(x, dtype=float)
+    shape = (d,) + x.shape
     if e == 0:
-        return zeta, eta
-    if x == nodes.a or x == nodes.b:
+        return np.zeros(shape), np.zeros(shape)
+    if np.any(x == nodes.a) or np.any(x == nodes.b):
         raise ValueError("evaluation at an endpoint: snap to the node instead")
-    xs = nodes.xs
+    col = (-1,) + (1,) * x.ndim
+    xs = nodes.xs.reshape(col)
+    # node j < d takes the steps k = max(j, d-e)+1 .. d-1, upward
     w0 = 1.0 / (x - nodes.a)
-    for j in range(d):
-        lo = max(j, d - e)
-        acc = 1.0
-        for k in range(lo + 1, d):
-            acc = 1.0 - (xs[j] - xs[k]) * w0 * acc
-        zeta[j] = -weights.lower_lead[j] * w0 * acc
-    vn = 1.0 / (x - nodes.b)
+    zeta = np.ones(shape)
+    for k in range(d - e + 1, d):
+        acc = zeta[:k]
+        acc *= (xs[:k] - xs[k]) * w0
+        np.subtract(1.0, acc, out=acc)
+    zeta *= -weights.lower_lead.reshape(col) * w0
+    # node j = lo + i takes the steps k = min(j, n-d+e)-1 .. lo, downward
     lo = n - d + 1
-    sign = -1.0 if lo % 2 else 1.0
-    for j in range(lo, n + 1):
-        up = min(j, n - d + e)
-        acc = 1.0
-        for k in range(up - 1, lo - 1, -1):
-            acc = 1.0 - (xs[j] - xs[k]) * vn * acc
-        eta[j - lo] = sign * weights.upper_lead[j - lo] * vn * acc
+    vn = 1.0 / (x - nodes.b)
+    eta = np.ones(shape)
+    for k in range(n - d + e - 1, lo - 1, -1):
+        acc = eta[k + 1 - lo:]
+        acc *= (xs[k + 1:] - xs[k]) * vn
+        np.subtract(1.0, acc, out=acc)
+    eta *= (-1.0 if lo % 2 else 1.0) * weights.upper_lead.reshape(col) * vn
     return zeta, eta
 
 
-def zeta_eta_direct(weights: PrecomputedWeights, nodes: NodeSet,
-                    params: ExtParams, x):
-    """Same as :func:`zeta_eta` by direct summation of the defining sums.
+def end_coefs(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
+    """Coefficients ``c_j(x) = fh[j] + corrections`` of the end nodes at the
+    off-node points ``x`` (1-D).
 
-    O(e) terms per node with explicit powers; kept as an independent check
-    on the Horner recurrence.
+    Returns ``(lower, upper)``, each ``(d, x.size)``: ``lower[j]`` for node
+    ``j``, ``upper[i]`` for node ``n-d+1+i``. A node in both blocks has the
+    same value in each, its lower correction added first. ``None`` when
+    ``e = 0``, where every coefficient is the constant ``fh[j]``.
     """
-    d, e = params.d, params.e
-    n = nodes.n
-    zeta = np.zeros(d)
-    eta = np.zeros(d)
-    if e == 0:
-        return zeta, eta
-    if x == nodes.a or x == nodes.b:
-        raise ValueError("evaluation at an endpoint: snap to the node instead")
-    for j in range(d):
-        s = 0.0
-        for idx, i in enumerate(range(d - e, d)):
-            if i < j:
-                continue
-            term = weights.lower[idx][j] / (x - nodes.a) ** (d - i)
-            s += -term if (d - i) % 2 else term
-        zeta[j] = s
-    for j in range(n - d + 1, n + 1):
-        s = 0.0
-        for idx, i in enumerate(range(n - d + 1, n - d + e + 1)):
-            if i > j:
-                continue
-            term = weights.upper[idx][j - i] / (x - nodes.b) ** (i - n + d)
-            s += -term if i % 2 else term
-        eta[j - (n - d + 1)] = s
-    return zeta, eta
+    if params.e == 0:
+        return None
+    d, fh = params.d, weights.fh
+    lower, upper = zeta_eta(weights, nodes, params, x)
+    both = max(2 * d - nodes.n - 1, 0)      # nodes in both end blocks
+    lower += fh[:d, None]
+    upper[:both] += lower[d - both:]
+    upper[both:] += fh[nodes.n + 1 - d + both:, None]
+    lower[d - both:] = upper[:both]
+    return lower, upper
 
 
-def _coef_block(weights, nodes, params, x):
-    """Coefficient matrix ``C[m, j] = c_j(x_m)`` for a 1-D chunk ``x``.
+def _ltr_sum(v):
+    # 0.0 + v[0] + v[1] + ..., one rounding per add, in order
+    return np.add.accumulate(np.concatenate(([0.0], v)))[-1]
 
-    Vector analogue of the scalar coefficient assembly; same operation
-    order elementwise.
+
+def _add(total, v, comp=None):
+    # total += v in place; Kahan-compensated when a compensation array is given
+    if comp is None:
+        total += v
+        return
+    y = v - comp
+    s = total + y
+    np.subtract(s - total, y, out=comp)
+    total[...] = s
+
+
+def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
+    """Node sums of the terms ``t_k = c_k / (x - x_k)`` at the off-node
+    points ``x`` (1-D), added left to right in node order from 0.0.
+
+    ``c_k`` is the constant ``w[k]``, except at the end nodes when ``ends``
+    (from :func:`end_coefs`) gives their values per point. Returns ``(num, den)``
+    with ``den = sum_k t_k`` and ``num = sum_k t_k ys[k]``. With ``ys=None``,
+    ``num`` is ``sum_k |t_k|`` instead; with ``col=j`` it is ``t_j``.
+    ``compensated`` adds every sum with two-term (Kahan) compensation.
     """
-    d, e = params.d, params.e
-    n = nodes.n
-    xs = nodes.xs
-    C = np.broadcast_to(weights.fh, (x.size, n + 1)).copy()
-    if e == 0:
-        return C
-    w0 = 1.0 / (x - nodes.a)
-    for j in range(d):
-        lo = max(j, d - e)
-        acc = np.ones_like(x)
-        for k in range(lo + 1, d):
-            acc = 1.0 - (xs[j] - xs[k]) * w0 * acc
-        C[:, j] += -weights.lower_lead[j] * w0 * acc
-    vn = 1.0 / (x - nodes.b)
-    lo = n - d + 1
-    sign = -1.0 if lo % 2 else 1.0
-    for j in range(lo, n + 1):
-        up = min(j, n - d + e)
-        acc = np.ones_like(x)
-        for k in range(up - 1, lo - 1, -1):
-            acc = 1.0 - (xs[j] - xs[k]) * vn * acc
-        C[:, j] += sign * weights.upper_lead[j - lo] * vn * acc
-    return C
+    if x.size == 1 and not compensated:
+        c = w
+        if ends is not None:
+            c = w.copy()
+            c[:len(ends[0])], c[-len(ends[1]):] = ends[0][:, 0], ends[1][:, 0]
+        t = c / (x[0] - xs)
+        if col is not None:
+            num = t[col]
+        else:
+            num = _ltr_sum(np.abs(t) if ys is None else t * ys)
+        return np.array([num]), np.array([_ltr_sum(t)])
+    m = x.size
+    diff, t, v = np.empty(m), np.empty(m), np.empty(m)
+    num, den = np.zeros(m), np.zeros(m)
+    cn, cd = (np.zeros(m), np.zeros(m)) if compensated else (None, None)
+    c = w.tolist()
+    if ends is not None:
+        c[:len(ends[0])], c[-len(ends[1]):] = ends[0], ends[1]
+    yl = ys.tolist() if ys is not None else None
+    for k, xk in enumerate(xs.tolist()):
+        np.subtract(x, xk, out=diff)
+        np.divide(c[k], diff, out=t)
+        if col is None:
+            _add(num, np.absolute(t, out=v) if yl is None
+                 else np.multiply(t, yl[k], out=v), cn)
+        elif k == col:
+            num = t.copy()
+        _add(den, t, cd)
+    return num, den
+
+
+def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
+    """Evaluate at a scalar or an array ``x``, in chunks of 4096 points.
+
+    A point that snaps to node ``j`` gets ``at_nodes[j]``; the other points
+    of a chunk get ``off_nodes(points)``. Returns a float for scalar ``x``,
+    else an array shaped like ``x``.
+    """
+    xv = np.asarray(x, dtype=float)
+    flat = xv.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("non-finite input")
+    out = np.empty(flat.size)
+    for s in range(0, flat.size, _CHUNK):
+        block = flat[s:s + _CHUNK]
+        snap = nodes.snap_indices(block)
+        off = snap < 0
+        res = at_nodes[snap]
+        if off.any():
+            res[off] = off_nodes(block[off])
+        out[s:s + block.size] = res
+    return float(out[0]) if xv.ndim == 0 else out.reshape(xv.shape)
 
 
 class Interpolant:
@@ -218,9 +267,6 @@ class Interpolant:
         rescale of the stored one leaves the value unchanged; see
         :meth:`PrecomputedWeights.rescaled`).
         """
-        return self._eval_scalar(x, weights if weights is not None else self.weights, ops)
-
-    def _eval_scalar(self, x, weights, ops=None):
         x = float(x)
         if not np.isfinite(x):
             raise ValueError("non-finite input")
@@ -229,44 +275,16 @@ class Interpolant:
             return EvalOutcome(float(self.ys[j]), j)
         d, e = self.params.d, self.params.e
         n = self.nodes.n
-        xs = self.nodes.xs
-        ys = self.ys
-        if e > 0:
-            zeta, eta = zeta_eta(weights, self.nodes, self.params, x)
-            if ops is not None:
+        if ops is not None:
+            if e > 0:
                 # setup of the two inverse distances, then per node: lead
                 # multiply chain (3) plus 4 per Horner step
                 nsteps = sum(d - 1 - max(j_, d - e) for j_ in range(d))
                 nsteps += sum(min(j_, n - d + e) - (n - d + 1)
                               for j_ in range(n - d + 1, n + 1))
                 ops.add(2 + 3 * 2 * d + 4 * nsteps)
-        lo_up = n - d + 1
-        num = den = cn = cd = 0.0
-        comp = self.compensated
-        for k in range(n + 1):
-            c = weights.fh[k]
-            if e > 0:
-                if k < d:
-                    c = c + zeta[k]
-                if k >= lo_up:
-                    c = c + eta[k - lo_up]
-            t = c / (x - xs[k])
-            v = t * ys[k]
-            if comp:
-                y_ = v - cn
-                s = num + y_
-                cn = (s - num) - y_
-                num = s
-                y_ = t - cd
-                s = den + y_
-                cd = (s - den) - y_
-                den = s
-            else:
-                num += v
-                den += t
-        if ops is not None:
             ops.add(5 * (n + 1) + 1)
-        return EvalOutcome(float(num / den), None)
+        return EvalOutcome(float(self._values(np.array([x]), weights)[0]), None)
 
     def eval_fh(self, x, ops: OpCounter | None = None) -> EvalOutcome:
         """Classical degree-``d`` evaluation; requires ``e = 0``.
@@ -306,56 +324,18 @@ class Interpolant:
             ops.add(5 * (self.nodes.n + 1) + 1)
         return EvalOutcome(float(num / den), None)
 
-    # -- vectorized path --------------------------------------------------
+    # -- vectorized paths -------------------------------------------------
 
     def __call__(self, x):
         """Evaluate at a scalar or array of points."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        if not np.all(np.isfinite(xv)):
-            raise ValueError("non-finite input")
-        out = np.empty(xv.size)
-        for s in range(0, xv.size, _CHUNK):
-            block = xv[s:s + _CHUNK]
-            out[s:s + _CHUNK] = self._eval_chunk(block)
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.shape(x))
+        return pointwise(self.nodes, x, self.ys, self._values)
 
-    def _eval_chunk(self, x):
-        nodes = self.nodes
-        snap = nodes.snap_indices(x)
-        off = snap < 0
-        out = np.empty(x.size)
-        out[~off] = self.ys[snap[~off]]
-        xo = x[off]
-        if xo.size:
-            C = _coef_block(self.weights, nodes, self.params, xo)
-            num = np.zeros(xo.size)
-            den = np.zeros(xo.size)
-            cn = np.zeros(xo.size)
-            cd = np.zeros(xo.size)
-            comp = self.compensated
-            xs = nodes.xs
-            for k in range(nodes.n + 1):
-                t = C[:, k] / (xo - xs[k])
-                v = t * self.ys[k]
-                if comp:
-                    y_ = v - cn
-                    s = num + y_
-                    cn = (s - num) - y_
-                    num = s
-                    y_ = t - cd
-                    s = den + y_
-                    cd = (s - den) - y_
-                    den = s
-                else:
-                    num += v
-                    den += t
-            out[off] = num / den
-        return out
-
-    # -- basis functions --------------------------------------------------
+    def _values(self, x, weights=None):
+        w = self.weights if weights is None else weights
+        num, den = term_sums(self.nodes.xs, w.fh, x, self.ys,
+                             ends=end_coefs(w, self.nodes, self.params, x),
+                             compensated=self.compensated)
+        return num / den
 
     def basis(self, j, x):
         """The ``j``-th basis function: the interpolant of the unit sample
@@ -363,27 +343,16 @@ class Interpolant:
         n = self.nodes.n
         if not 0 <= int(j) <= n:
             raise IndexError(f"node index out of range: {j}")
-        j = int(j)
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        if not np.all(np.isfinite(xv)):
-            raise ValueError("non-finite input")
-        out = np.empty(xv.size)
-        for s in range(0, xv.size, _CHUNK):
-            block = xv[s:s + _CHUNK]
-            T, offmask, snap = term_rows(self.nodes, self.params,
-                                         self.weights, block)
-            res = np.empty(block.size)
-            res[~offmask] = (snap[~offmask] == j).astype(float)
-            if T is not None:
-                den = np.zeros(offmask.sum())
-                for k in range(self.nodes.n + 1):
-                    den += T[:, k]
-                res[offmask] = T[:, j] / den
-            out[s:s + block.size] = res
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.shape(x))
+        unit = np.zeros(n + 1)
+        unit[int(j)] = 1.0
+
+        def off_nodes(xo):
+            tj, den = term_sums(self.nodes.xs, self.weights.fh, xo, col=int(j),
+                                ends=end_coefs(self.weights, self.nodes,
+                                               self.params, xo))
+            return tj / den
+
+        return pointwise(self.nodes, x, unit, off_nodes)
 
 
 def term_rows(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x):
@@ -392,7 +361,8 @@ def term_rows(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x)
     Returns ``(T, offmask, snap)``; ``T`` covers only the rows where
     ``offmask`` is true (``None`` if every point snapped to a node). The
     interpolant is ``(T @ ys) / T.sum(axis=1)`` and the basis functions are
-    the rows of ``T`` over their sum.
+    the rows of ``T`` over their sum. ``T`` is dense, ``points x (n+1)``;
+    the evaluators never form it.
     """
     x = np.asarray(x, dtype=float)
     snap = nodes.snap_indices(x)
@@ -400,7 +370,11 @@ def term_rows(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x)
     xo = x[off]
     if not xo.size:
         return None, off, snap
-    C = _coef_block(weights, nodes, params, xo)
+    C = np.broadcast_to(weights.fh, (xo.size, nodes.n + 1)).copy()
+    ends = end_coefs(weights, nodes, params, xo)
+    if ends is not None:
+        C[:, :params.d] = ends[0].T
+        C[:, nodes.n + 1 - params.d:] = ends[1].T
     T = C / (xo[:, None] - nodes.xs[None, :])
     return T, off, snap
 
@@ -410,23 +384,40 @@ def term_rows(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x)
 def dump_interpolant(interp: Interpolant) -> str:
     """Serialize nodes, samples and parameters to text, one value per line.
 
-    Floats are written in shortest round-trip decimal form, so
-    :func:`load_interpolant` reconstructs them bit for bit.
+    The header is the node count, ``d``, ``e``, ``spacing=`` the
+    equispaced spacing (``none`` for general nodes) and ``compensated=``
+    0 or 1. Floats are written in shortest round-trip decimal form, so
+    :func:`load_interpolant` rebuilds the interpolant bit for bit.
     """
-    lines = [str(interp.nodes.n + 1), str(interp.params.d), str(interp.params.e)]
-    lines += [repr(float(v)) for v in interp.nodes.xs]
+    nodes = interp.nodes
+    lines = [str(nodes.n + 1), str(interp.params.d), str(interp.params.e),
+             f"spacing={'none' if nodes.spacing is None else repr(nodes.spacing)}",
+             f"compensated={int(interp.compensated)}"]
+    lines += [repr(float(v)) for v in nodes.xs]
     lines += [repr(float(v)) for v in interp.ys]
     return "\n".join(lines) + "\n"
 
 
 def load_interpolant(text: str) -> Interpolant:
-    """Inverse of :func:`dump_interpolant`."""
+    """Inverse of :func:`dump_interpolant`; also reads the older header of
+    count, ``d`` and ``e`` alone (general nodes, no compensation).
+
+    A record with a spacing must hold the nodes of
+    :meth:`NodeSet.equispaced` with exactly that spacing.
+    """
     vals = text.split()
     if len(vals) < 3:
         raise ValueError("truncated interpolant record")
     count, d, e = int(vals[0]), int(vals[1]), int(vals[2])
-    if len(vals) != 3 + 2 * count:
+    head = 5 if len(vals) > 3 and vals[3].startswith("spacing=") else 3
+    if len(vals) != head + 2 * count:
         raise ValueError("truncated interpolant record")
-    xs = np.array([float(v) for v in vals[3:3 + count]])
-    ys = np.array([float(v) for v in vals[3 + count:]])
-    return Interpolant(NodeSet(xs), ys, d, e)
+    xs = np.array([float(v) for v in vals[head:head + count]])
+    ys = np.array([float(v) for v in vals[head + count:]])
+    nodes = NodeSet(xs)
+    if head == 5 and vals[3] != "spacing=none":
+        nodes = NodeSet.equispaced(xs[0], xs[-1], count - 1)
+        if nodes.spacing != float(vals[3][8:]) or not np.array_equal(nodes.xs, xs):
+            raise ValueError("record spacing does not match its nodes")
+    return Interpolant(nodes, ys, d, e,
+                       compensated=head == 5 and vals[4] == "compensated=1")

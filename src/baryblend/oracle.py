@@ -4,6 +4,11 @@
 local Lagrange polynomial interpolants with explicit product blending
 weights: O(n * d**2) per point, but definitionally direct.
 
+``dense_values`` evaluates through the dense ``points x (n+1)`` matrix of
+node coefficients, walked one node column at a time: the operations and
+their order are those of the sparse evaluator, so the two must agree bit
+for bit.
+
 ``denominator_sign_scan`` evaluates the common-denominator polynomial of
 the blend form (the one whose strict positivity rules out real poles) on a
 grid, via products over a node multiset with the endpoint nodes repeated
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nodes import NodeSet
-from .weights import ExtParams
+from .weights import ExtParams, PrecomputedWeights
 
 
 def _lagrange(xs, ys, i, j, x):
@@ -92,6 +97,52 @@ def blending_weights(nodes: NodeSet, params: ExtParams, x):
         vals.append(_chi(xs, i, n, x) / (x - xs[n]) ** (i - n + d))
     vals = np.array(vals)
     return vals / vals.sum()
+
+
+def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False):
+    """Interpolant values at a 1-D array ``x`` through the dense matrix
+    ``C[m, j] = c_j(x_m)``; points that snap to a node take its sample."""
+    d, e = params.d, params.e
+    n, xs = nodes.n, nodes.xs
+    wts = PrecomputedWeights(nodes, params)
+    snap = nodes.snap_indices(x)
+    off = snap < 0
+    out = np.asarray(ys, dtype=float)[snap]
+    xo = x[off]
+    C = np.broadcast_to(wts.fh, (xo.size, n + 1)).copy()
+    if e > 0:
+        w0 = 1.0 / (xo - nodes.a)
+        for j in range(d):
+            acc = np.ones_like(xo)
+            for k in range(max(j, d - e) + 1, d):
+                acc = 1.0 - (xs[j] - xs[k]) * w0 * acc
+            C[:, j] += -wts.lower_lead[j] * w0 * acc
+        vn = 1.0 / (xo - nodes.b)
+        lo = n - d + 1
+        sign = -1.0 if lo % 2 else 1.0
+        for j in range(lo, n + 1):
+            acc = np.ones_like(xo)
+            for k in range(min(j, n - d + e) - 1, lo - 1, -1):
+                acc = 1.0 - (xs[j] - xs[k]) * vn * acc
+            C[:, j] += sign * wts.upper_lead[j - lo] * vn * acc
+    num, den, cn, cd = (np.zeros(xo.size) for _ in range(4))
+    for k in range(n + 1):
+        t = C[:, k] / (xo - xs[k])
+        v = t * ys[k]
+        if compensated:
+            y_ = v - cn
+            s = num + y_
+            cn = (s - num) - y_
+            num = s
+            y_ = t - cd
+            s = den + y_
+            cd = (s - den) - y_
+            den = s
+        else:
+            num += v
+            den += t
+    out[off] = num / den
+    return out
 
 
 @dataclass(frozen=True)

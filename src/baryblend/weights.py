@@ -10,6 +10,7 @@ ratio.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
@@ -17,38 +18,32 @@ import numpy as np
 from .nodes import NodeSet
 
 
+@dataclass(frozen=True)
 class ExtParams:
     """Blend parameters: local degree ``d`` and end-interpolant count ``e``.
 
     ``e = 0`` gives the classical construction; each unit of ``e`` adds one
     extra local polynomial interpolant of reduced degree at each end of the
     interval. Validity (``0 <= d <= n`` and ``0 <= e <= d``) is checked
-    against a node set.
+    against a node set. Instances are immutable and hashable.
     """
 
-    __slots__ = ("d", "e")
+    d: int
+    e: int = 0
 
-    def __init__(self, d, e=0):
-        d = int(d)
-        e = int(e)
+    def __post_init__(self):
+        d, e = int(self.d), int(self.e)
         if d < 0:
             raise ValueError("d must satisfy 0 <= d <= n")
         if not 0 <= e <= d:
             raise ValueError("e must satisfy 0 <= e <= d")
-        self.d = d
-        self.e = e
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
 
     def validate(self, nodes: NodeSet):
         if self.d > nodes.n:
             raise ValueError("d must satisfy 0 <= d <= n")
         return self
-
-    def __repr__(self):
-        return f"ExtParams(d={self.d}, e={self.e})"
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtParams)
-                and self.d == other.d and self.e == other.e)
 
 
 def barycentric_product(xs, lo, j, hi, factor_scale=1.0):
@@ -199,8 +194,12 @@ class PrecomputedWeights:
         params.validate(nodes)
         self.d = params.d
         self.e = params.e
-        self.fh, self.scale = fh_weights(nodes, params.d)
-        self.lower, self.upper = end_weight_tables(nodes, params)
+        try:
+            self.fh, self.scale = fh_weights(nodes, params.d)
+            self.lower, self.upper = end_weight_tables(nodes, params)
+        except OverflowError:
+            raise ValueError(
+                "weight computation overflowed; nodes too extreme") from None
         for row in self.lower + self.upper:
             row.flags.writeable = False
             if not np.all(np.isfinite(row)):

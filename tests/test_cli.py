@@ -42,6 +42,15 @@ class TestEval:
         assert code == 0
         assert len(out.strip().split("\n")) == 12
 
+    def test_weight_overflow_exits_2(self, capsys):
+        # the per-factor scale h**(-d) = 0.01**(-170) overflows a float
+        code, out, err = run_cli(
+            ["eval", "--interval", "-1", "1", "--n", "200", "--d", "170",
+             "--e", "4", "--at", "0.3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "overflowed" in err
+
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run_cli(
             ["eval", "--n", "8", "--d", "3", "--fn", "wat"], capsys)

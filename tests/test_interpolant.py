@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from baryblend import (ExtParams, Interpolant, NodeSet, OpCounter,
                        PrecomputedWeights, barycentric_product,
-                       dump_interpolant, load_interpolant, zeta_eta,
-                       zeta_eta_direct)
+                       dump_interpolant, lebesgue_function,
+                       load_interpolant, zeta_eta)
+from baryblend.oracle import dense_values
 
 from .conftest import log_perturbed_nodes, perturbed_nodes
 
@@ -26,6 +29,37 @@ def raw_zeta_eta(nodes, d, e, x):
         for i in range(n - d + 1, min(j, n - d + e) + 1):
             t = barycentric_product(xs, i, j, n) / (x - xs[n]) ** (i - n + d)
             s += -t if i % 2 else t
+        eta[j - (n - d + 1)] = s
+    return zeta, eta
+
+
+def zeta_eta_direct(weights, nodes, params, x):
+    """Same as :func:`zeta_eta` by direct summation of the defining sums
+    over the stored end tables: O(e) terms per node with explicit powers, an
+    independent check on the Horner recurrence."""
+    d, e = params.d, params.e
+    n = nodes.n
+    zeta = np.zeros(d)
+    eta = np.zeros(d)
+    if e == 0:
+        return zeta, eta
+    if x == nodes.a or x == nodes.b:
+        raise ValueError("evaluation at an endpoint: snap to the node instead")
+    for j in range(d):
+        s = 0.0
+        for idx, i in enumerate(range(d - e, d)):
+            if i < j:
+                continue
+            term = weights.lower[idx][j] / (x - nodes.a) ** (d - i)
+            s += -term if (d - i) % 2 else term
+        zeta[j] = s
+    for j in range(n - d + 1, n + 1):
+        s = 0.0
+        for idx, i in enumerate(range(n - d + 1, n - d + e + 1)):
+            if i > j:
+                continue
+            term = weights.upper[idx][j - i] / (x - nodes.b) ** (i - n + d)
+            s += -term if i % 2 else term
         eta[j - (n - d + 1)] = s
     return zeta, eta
 
@@ -220,6 +254,91 @@ class TestOperationCount:
             assert d * e <= over <= 12 * d * e
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def kernel_case(n, d, e, rng, compensated=False):
+    nodes = log_perturbed_nodes(-1.0, 1.0, n, rng)
+    return Interpolant(nodes, rng.standard_normal(n + 1), d, e,
+                       compensated=compensated)
+
+
+class TestKernel:
+    """The sparse kernel against the dense reference, bit for bit."""
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    @pytest.mark.parametrize("n,d,e", [
+        (24, 8, 0), (24, 8, 8), (24, 8, 3),   # e = 0, e = d, in between
+        (4, 4, 2), (5, 4, 4), (1, 1, 1), (1, 1, 0),  # end blocks overlap
+    ])
+    def test_matches_dense_reference(self, n, d, e, compensated, rng):
+        r = kernel_case(n, d, e, rng, compensated)
+        x = np.concatenate([rng.uniform(-1.3, 1.3, 500), r.nodes.xs])
+        want = dense_values(r.nodes, r.ys, r.params, x, compensated)
+        assert np.array_equal(bits(r(x)), bits(want))
+        assert np.array_equal(bits([r.eval(v).value for v in x]), bits(want))
+
+    @pytest.mark.parametrize("size", [4095, 4096, 4097])
+    def test_chunk_boundaries(self, size, rng):
+        r = kernel_case(30, 10, 4, rng)
+        x = rng.uniform(-1.1, 1.1, size)
+        x[::97] = r.nodes.xs[rng.integers(0, 31, x[::97].size)]
+        want = dense_values(r.nodes, r.ys, r.params, x)
+        assert np.array_equal(bits(r(x)), bits(want))
+        assert np.array_equal(bits(r(x.reshape(1, -1))), bits(want[None, :]))
+
+    def test_batch_where_every_point_snaps(self, rng):
+        r = kernel_case(12, 6, 3, rng)
+        idx = rng.integers(0, 13, 5000)
+        assert np.array_equal(bits(r(r.nodes.xs[idx])), bits(r.ys[idx]))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_scalar_eval_equals_vector_with_sign_of_zero(self, zero, rng):
+        # zero samples give a value of +-0.0, the sign set by the denominator
+        nodes = NodeSet.equispaced(-1.0, 1.0, 16)
+        r = Interpolant(nodes, np.full(17, zero), 6, 3)
+        x = np.concatenate([rng.uniform(-1.5, 1.5, 300), [-40.0, 40.0]])
+        vec = r(x)
+        assert np.array_equal(bits([r.eval(v).value for v in x]), bits(vec))
+        assert np.array_equal(bits([r(v) for v in x]), bits(vec))
+        assert {np.signbit(v) for v in vec} == {False, True}
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_sums_start_from_positive_zero(self, zero):
+        # two nodes, x between them: both terms have one sign, so for one of
+        # the two zero samples every product is -0.0; the sum must still
+        # start from +0.0, and 0.0 + (-0.0) is +0.0
+        r = Interpolant(NodeSet.equispaced(0.0, 1.0, 1), [zero, zero], 1)
+        x = np.linspace(0.1, 0.9, 9)
+        want = dense_values(r.nodes, r.ys, r.params, x)
+        assert np.array_equal(bits(r(x)), bits(want))
+        assert np.array_equal(bits([r.eval(v).value for v in x]), bits(want))
+
+    def test_scalar_basis_and_lebesgue_equal_vector(self, rng):
+        r = kernel_case(20, 7, 3, rng)
+        x = rng.uniform(-1.2, 1.2, 50)
+        for j in (0, 4, 20):
+            assert np.array_equal(bits([r.basis(j, v) for v in x]),
+                                  bits(r.basis(j, x)))
+        leb = lebesgue_function(r.nodes, r.params, x)
+        assert np.array_equal(
+            bits([lebesgue_function(r.nodes, r.params, v) for v in x]), bits(leb))
+
+    def test_chunk_memory_stays_small_at_large_n(self, rng):
+        # a dense chunk x (n+1) coefficient block would take 313 MiB
+        r = Interpolant.from_function(NodeSet.equispaced(-5.0, 5.0, 10_000),
+                                      runge, d=8, e=4)
+        x = rng.uniform(-5.0, 5.0, 4096)
+        tracemalloc.start()
+        try:
+            r(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self, rng):
         nodes = log_perturbed_nodes(-2.0, 5.0, 11, rng)
@@ -231,6 +350,37 @@ class TestSerialization:
         assert (r2.d, r2.e) == (7, 3)
         x = 0.371
         assert r2.eval(x).value == pytest.approx(r.eval(x).value, rel=1e-15)
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_round_trip_keeps_spacing_and_compensation(self, compensated, rng):
+        for nodes in (NodeSet.equispaced(-5.0, 5.0, 64),
+                      log_perturbed_nodes(-5.0, 5.0, 64, rng)):
+            r = Interpolant.from_function(nodes, runge, 12, 4,
+                                          compensated=compensated)
+            r2 = load_interpolant(dump_interpolant(r))
+            assert r2.nodes.is_equispaced == nodes.is_equispaced
+            assert r2.nodes.spacing == nodes.spacing
+            assert r2.compensated == compensated
+            x = rng.uniform(-5.0, 5.0, 2000)
+            assert np.array_equal(bits(r2(x)), bits(r(x)))
+
+    def test_reads_three_field_header(self, rng):
+        nodes = log_perturbed_nodes(-1.0, 1.0, 6, rng)
+        ys = rng.standard_normal(7)
+        old = "\n".join(["7", "3", "1"] + [repr(float(v)) for v in nodes.xs]
+                        + [repr(float(v)) for v in ys]) + "\n"
+        r2 = load_interpolant(old)
+        assert (r2.d, r2.e, r2.compensated) == (3, 1, False)
+        assert not r2.nodes.is_equispaced
+        assert np.array_equal(r2.ys, ys)
+
+    def test_false_spacing_rejected(self, rng):
+        # the binomial weights would be wrong for these nodes
+        r = Interpolant(log_perturbed_nodes(-1.0, 1.0, 8, rng),
+                        rng.standard_normal(9), 4, 2)
+        text = dump_interpolant(r).replace("spacing=none", "spacing=0.25")
+        with pytest.raises(ValueError, match="spacing"):
+            load_interpolant(text)
 
     def test_truncated_record_rejected(self):
         with pytest.raises(ValueError, match="truncated"):

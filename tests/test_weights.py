@@ -98,6 +98,13 @@ class TestExtParams:
     def test_degenerate_d0_e0_allowed(self):
         ExtParams(0, 0).validate(NodeSet.equispaced(0, 1, 4))
 
+    def test_equal_params_hash_equal(self):
+        assert ExtParams(3, 1) == ExtParams(3.0, 1)
+        assert hash(ExtParams(3, 1)) == hash(ExtParams(3.0, 1))
+        assert len({ExtParams(3, 1), ExtParams(3, 1), ExtParams(3, 0)}) == 2
+        with pytest.raises(AttributeError):
+            ExtParams(3, 1).d = 4
+
 
 class TestEndWeightTables:
     def test_empty_when_e_zero(self):
