@@ -15,29 +15,26 @@ Quick start::
 
 from .analysis import (ChebyshevBaseline, CubicSplineBaseline, ErrorReport,
                        GridSpec, LebesgueReport, NoiseSpec, ReferenceFunction,
-                       ScanResult, add_noise, chebyshev_baseline,
-                       converge_n, cubic_spline_baseline, error_report,
+                       ScanResult, add_noise, converge_n, error_report,
                        gaussian_deviates, get_function, lebesgue_constant,
                        lebesgue_function, register_function,
                        runge_error_table, scan_de)
-from .interpolant import (EvalOutcome, Interpolant, OpCounter,
-                          dump_interpolant, load_interpolant, term_rows,
-                          zeta_eta)
+from .interpolant import (EvalOutcome, Interpolant, dump_interpolant,
+                          load_interpolant, term_rows, zeta_eta)
 from .nodes import NodeSet
 from .oracle import (SignScanReport, blend_form_value, blending_weights,
                      denominator_sign_scan)
-from .weights import (ExtParams, PrecomputedWeights, barycentric_product,
-                      end_weight_tables, fh_weights)
+from .weights import (ExtParams, PrecomputedWeights, end_weight_tables,
+                      fh_weights)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChebyshevBaseline", "CubicSplineBaseline", "ErrorReport", "EvalOutcome",
     "ExtParams", "GridSpec", "Interpolant", "LebesgueReport", "NodeSet",
-    "NoiseSpec", "OpCounter", "PrecomputedWeights", "ReferenceFunction",
-    "ScanResult", "SignScanReport", "add_noise", "barycentric_product",
-    "blend_form_value", "blending_weights", "chebyshev_baseline",
-    "converge_n", "cubic_spline_baseline", "denominator_sign_scan",
+    "NoiseSpec", "PrecomputedWeights", "ReferenceFunction", "ScanResult",
+    "SignScanReport", "add_noise", "blend_form_value", "blending_weights",
+    "converge_n", "denominator_sign_scan",
     "dump_interpolant", "end_weight_tables", "error_report", "fh_weights",
     "gaussian_deviates", "get_function", "lebesgue_constant",
     "lebesgue_function", "load_interpolant", "register_function",

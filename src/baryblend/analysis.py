@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .interpolant import Interpolant, end_coefs, pointwise, term_sums
 from .interpolant import term_rows  # noqa: F401  (public as analysis.term_rows)
@@ -90,12 +89,10 @@ class GridSpec:
 
     ``per_subinterval``, when set, switches to a node-relative grid with
     that many uniform points per node gap (used by the Lebesgue-constant
-    search). ``offset_nodes`` shifts interior points off exact node
-    coincidence by half a grid step.
+    search).
     """
     count: int = 100_001
     per_subinterval: Optional[int] = None
-    offset_nodes: bool = False
 
     def __post_init__(self):
         if self.count < 2:
@@ -106,16 +103,8 @@ class GridSpec:
             segs = [np.linspace(nodes.xs[i], nodes.xs[i + 1],
                                 self.per_subinterval + 1)[:-1]
                     for i in range(nodes.n)]
-            pts = np.concatenate(segs + [np.array([nodes.b])])
-        else:
-            pts = np.linspace(a, b, self.count)
-        if self.offset_nodes and nodes is not None:
-            step = (pts[-1] - pts[0]) / (pts.size - 1)
-            snapped = nodes.snap_indices(pts)
-            interior = (snapped >= 0) & (pts > nodes.a) & (pts < nodes.b)
-            pts = pts.copy()
-            pts[interior] += 0.5 * step
-        return pts
+            return np.concatenate(segs + [np.array([nodes.b])])
+        return np.linspace(a, b, self.count)
 
 
 # -- error measurement --------------------------------------------------
@@ -277,6 +266,9 @@ class CubicSplineBaseline:
     """
 
     def __init__(self, nodes: NodeSet, ys):
+        # imported here: scipy.interpolate is most of the import time of
+        # the package, and only this class needs it
+        from scipy.interpolate import CubicSpline
         if nodes.n < 3:
             raise ValueError("cubic spline baseline needs n >= 3")
         self.nodes = nodes
@@ -285,14 +277,6 @@ class CubicSplineBaseline:
 
     def __call__(self, x):
         return pointwise(self.nodes, x, self.ys, self._spline)
-
-
-def chebyshev_baseline(f: ReferenceFunction, n) -> ChebyshevBaseline:
-    return ChebyshevBaseline(f, n)
-
-
-def cubic_spline_baseline(nodes: NodeSet, ys) -> CubicSplineBaseline:
-    return CubicSplineBaseline(nodes, ys)
 
 
 # -- reproducible sample noise --------------------------------------------
@@ -308,13 +292,10 @@ class NoiseSpec:
     """
     sigma: float
     seed: int = 0
-    generator: str = "splitmix64/box-muller"
 
     def __post_init__(self):
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
-        if self.generator != "splitmix64/box-muller":
-            raise ValueError(f"unknown noise generator {self.generator!r}")
 
 
 def _splitmix64(seed, count):
@@ -439,7 +420,7 @@ def converge_n(f: ReferenceFunction, configs, n_list, grid: GridSpec,
                 rows.append(ConvergeRow(_label(cfg), n, d, e, None, None))
                 continue
             if kind == "cheb":
-                approx = chebyshev_baseline(f, n)
+                approx = ChebyshevBaseline(f, n)
             elif kind == "spline":
                 approx = CubicSplineBaseline(nodes, ys)
             else:

@@ -46,25 +46,13 @@ class EvalOutcome(NamedTuple):
     at_node: Optional[int]
 
 
-class OpCounter:
-    """Tally of arithmetic operations performed by the scalar evaluators."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, k):
-        self.count += k
-
-
 def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
     """End-correction functions at ``x``, a scalar or a 1-D array.
 
     Returns ``(zeta, eta)``, each of shape ``(d,) + x.shape``: ``zeta[j]``
     for nodes ``j = 0 .. d-1`` and ``eta[k]`` for nodes
     ``j = n-d+1+k .. n``. Both are zero when ``e = 0``. The values carry the
-    same common scale as the stored node weights.
+    same common factor as the stored node weights.
 
     The Horner recurrences of the ``d`` nodes at one end run side by side:
     each step updates the nodes whose recurrence contains it, so every node
@@ -257,15 +245,11 @@ class Interpolant:
 
     # -- scalar paths ---------------------------------------------------
 
-    def eval(self, x, ops: OpCounter | None = None,
-             weights: PrecomputedWeights | None = None) -> EvalOutcome:
+    def eval(self, x) -> EvalOutcome:
         """Evaluate at a scalar ``x``.
 
         Snaps to the nearest node within the rounding tolerance; otherwise
         computes the barycentric-like ratio in O(n + d*e) arithmetic.
-        ``weights`` substitutes an alternative weight set (any common
-        rescale of the stored one leaves the value unchanged; see
-        :meth:`PrecomputedWeights.rescaled`).
         """
         x = float(x)
         if not np.isfinite(x):
@@ -273,56 +257,7 @@ class Interpolant:
         j = self.nodes.snap_index(x)
         if j is not None:
             return EvalOutcome(float(self.ys[j]), j)
-        d, e = self.params.d, self.params.e
-        n = self.nodes.n
-        if ops is not None:
-            if e > 0:
-                # setup of the two inverse distances, then per node: lead
-                # multiply chain (3) plus 4 per Horner step
-                nsteps = sum(d - 1 - max(j_, d - e) for j_ in range(d))
-                nsteps += sum(min(j_, n - d + e) - (n - d + 1)
-                              for j_ in range(n - d + 1, n + 1))
-                ops.add(2 + 3 * 2 * d + 4 * nsteps)
-            ops.add(5 * (n + 1) + 1)
-        return EvalOutcome(float(self._values(np.array([x]), weights)[0]), None)
-
-    def eval_fh(self, x, ops: OpCounter | None = None) -> EvalOutcome:
-        """Classical degree-``d`` evaluation; requires ``e = 0``.
-
-        An independent code path from :meth:`eval` (no end-correction
-        machinery is touched), kept separate so the two can be compared.
-        """
-        if self.params.e != 0:
-            raise ValueError("eval_fh requires e = 0")
-        x = float(x)
-        if not np.isfinite(x):
-            raise ValueError("non-finite input")
-        j = self.nodes.snap_index(x)
-        if j is not None:
-            return EvalOutcome(float(self.ys[j]), j)
-        xs = self.nodes.xs
-        ys = self.ys
-        fh = self.weights.fh
-        num = den = cn = cd = 0.0
-        comp = self.compensated
-        for k in range(self.nodes.n + 1):
-            t = fh[k] / (x - xs[k])
-            v = t * ys[k]
-            if comp:
-                y_ = v - cn
-                s = num + y_
-                cn = (s - num) - y_
-                num = s
-                y_ = t - cd
-                s = den + y_
-                cd = (s - den) - y_
-                den = s
-            else:
-                num += v
-                den += t
-        if ops is not None:
-            ops.add(5 * (self.nodes.n + 1) + 1)
-        return EvalOutcome(float(num / den), None)
+        return EvalOutcome(float(self._values(np.array([x]))[0]), None)
 
     # -- vectorized paths -------------------------------------------------
 
@@ -330,10 +265,10 @@ class Interpolant:
         """Evaluate at a scalar or array of points."""
         return pointwise(self.nodes, x, self.ys, self._values)
 
-    def _values(self, x, weights=None):
-        w = self.weights if weights is None else weights
-        num, den = term_sums(self.nodes.xs, w.fh, x, self.ys,
-                             ends=end_coefs(w, self.nodes, self.params, x),
+    def _values(self, x):
+        num, den = term_sums(self.nodes.xs, self.weights.fh, x, self.ys,
+                             ends=end_coefs(self.weights, self.nodes,
+                                            self.params, x),
                              compensated=self.compensated)
         return num / den
 

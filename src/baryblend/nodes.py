@@ -15,10 +15,6 @@ class NodeSet:
     xs : array_like
         Strictly increasing finite values; the first and last entries are
         the interval endpoints.
-    spacing : float, optional
-        Nominal node spacing. Set by :meth:`equispaced`; when absent, the
-        mean spacing ``(b - a) / n`` is used wherever a spacing scale is
-        needed (weight rescaling, snap tolerance).
 
     Attributes
     ----------
@@ -28,9 +24,13 @@ class NodeSet:
         Interval endpoints, ``a == xs[0]`` and ``b == xs[-1]``.
     n : int
         Number of subintervals (one less than the node count).
+    spacing : float or None
+        The spacing ``h`` of nodes built by :meth:`equispaced`, else
+        ``None``. Only that constructor sets it, so it never describes
+        nodes that are not equispaced.
     """
 
-    def __init__(self, xs, spacing=None):
+    def __init__(self, xs):
         xs = np.array(xs, dtype=float)
         if xs.ndim != 1 or xs.size < 2:
             raise ValueError("need at least two nodes in a one-dimensional array")
@@ -43,8 +43,7 @@ class NodeSet:
         self.a = float(xs[0])
         self.b = float(xs[-1])
         self.n = int(xs.size - 1)
-        self.spacing = float(spacing) if spacing is not None else None
-        self._is_equispaced = spacing is not None
+        self.spacing = None
 
     @classmethod
     def equispaced(cls, a, b, n):
@@ -65,11 +64,13 @@ class NodeSet:
         xs = a + h * np.arange(n + 1)
         xs[0] = a
         xs[n] = b
-        return cls(xs, spacing=h)
+        nodes = cls(xs)
+        nodes.spacing = h
+        return nodes
 
     @property
     def is_equispaced(self):
-        return self._is_equispaced
+        return self.spacing is not None
 
     def reference_spacing(self):
         """Spacing scale: the recorded ``h`` or the mean spacing."""
@@ -117,7 +118,7 @@ class NodeSet:
 
     def __repr__(self):
         return (f"NodeSet(n={self.n}, a={self.a!r}, b={self.b!r}, "
-                f"equispaced={self._is_equispaced})")
+                f"equispaced={self.is_equispaced})")
 
 
 def validate_samples(ys, node_count):

@@ -7,7 +7,10 @@ weights: O(n * d**2) per point, but definitionally direct.
 ``dense_values`` evaluates through the dense ``points x (n+1)`` matrix of
 node coefficients, walked one node column at a time: the operations and
 their order are those of the sparse evaluator, so the two must agree bit
-for bit.
+for bit. It can also count the arithmetic it spends per point.
+
+``fh_value`` is the classical ``e = 0`` interpolant as one plain loop over
+the node weights, a path independent of the end-correction machinery.
 
 ``denominator_sign_scan`` evaluates the common-denominator polynomial of
 the blend form (the one whose strict positivity rules out real poles) on a
@@ -99,9 +102,14 @@ def blending_weights(nodes: NodeSet, params: ExtParams, x):
     return vals / vals.sum()
 
 
-def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False):
+def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False,
+                 tally=None):
     """Interpolant values at a 1-D array ``x`` through the dense matrix
-    ``C[m, j] = c_j(x_m)``; points that snap to a node take its sample."""
+    ``C[m, j] = c_j(x_m)``; points that snap to a node take its sample.
+
+    ``tally``, a list, gets appended the number of arithmetic operations
+    spent on each off-node point, counted as the loops below run.
+    """
     d, e = params.d, params.e
     n, xs = nodes.n, nodes.xs
     wts = PrecomputedWeights(nodes, params)
@@ -110,21 +118,28 @@ def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False):
     out = np.asarray(ys, dtype=float)[snap]
     xo = x[off]
     C = np.broadcast_to(wts.fh, (xo.size, n + 1)).copy()
+    ops = 0
     if e > 0:
         w0 = 1.0 / (xo - nodes.a)
+        ops += 2
         for j in range(d):
             acc = np.ones_like(xo)
             for k in range(max(j, d - e) + 1, d):
                 acc = 1.0 - (xs[j] - xs[k]) * w0 * acc
+                ops += 3
             C[:, j] += -wts.lower_lead[j] * w0 * acc
+            ops += 3
         vn = 1.0 / (xo - nodes.b)
+        ops += 2
         lo = n - d + 1
         sign = -1.0 if lo % 2 else 1.0
         for j in range(lo, n + 1):
             acc = np.ones_like(xo)
             for k in range(min(j, n - d + e) - 1, lo - 1, -1):
                 acc = 1.0 - (xs[j] - xs[k]) * vn * acc
+                ops += 3
             C[:, j] += sign * wts.upper_lead[j - lo] * vn * acc
+            ops += 3
     num, den, cn, cd = (np.zeros(xo.size) for _ in range(4))
     for k in range(n + 1):
         t = C[:, k] / (xo - xs[k])
@@ -138,11 +153,34 @@ def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False):
             s = den + y_
             cd = (s - den) - y_
             den = s
+            ops += 11
         else:
             num += v
             den += t
+            ops += 5
     out[off] = num / den
+    if tally is not None:
+        tally.append(ops + 1)          # and the quotient num / den
     return out
+
+
+def fh_value(interp, x):
+    """Value of an ``e = 0`` interpolant at a scalar ``x``, or its sample
+    where ``x`` snaps to a node: the classical barycentric sum as one loop
+    over the stored node weights."""
+    if interp.e != 0:
+        raise ValueError("fh_value requires e = 0")
+    x = float(x)
+    j = interp.nodes.snap_index(x)
+    if j is not None:
+        return float(interp.ys[j])
+    xs, ys, fh = interp.nodes.xs, interp.ys, interp.weights.fh
+    num = den = 0.0
+    for k in range(interp.nodes.n + 1):
+        t = fh[k] / (x - xs[k])
+        num += t * ys[k]
+        den += t
+    return float(num / den)
 
 
 @dataclass(frozen=True)

@@ -45,3 +45,13 @@ def log_perturbed_nodes(a, b, n, rng):
     xs = a + (b - a) * xs / xs[-1]
     xs[0], xs[-1] = a, b
     return NodeSet(xs)
+
+
+def barycentric_product(xs, lo, j, hi):
+    """Product of ``1 / (x_j - x_l)`` over ``l`` in [lo, hi], l != j."""
+    w = 1.0
+    xj = xs[j]
+    for l in range(lo, hi + 1):
+        if l != j:
+            w *= 1.0 / (xj - xs[l])
+    return w

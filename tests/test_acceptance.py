@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baryblend import (ExtParams, GridSpec, Interpolant, NodeSet, NoiseSpec,
-                       add_noise, blend_form_value, chebyshev_baseline,
-                       converge_n, cubic_spline_baseline,
-                       denominator_sign_scan, error_report, get_function,
-                       lebesgue_constant, lebesgue_function, scan_de)
+from baryblend import (ChebyshevBaseline, CubicSplineBaseline, ExtParams,
+                       GridSpec, Interpolant, NodeSet, NoiseSpec, add_noise,
+                       blend_form_value, converge_n, denominator_sign_scan,
+                       error_report, get_function, lebesgue_constant,
+                       lebesgue_function, scan_de)
 from baryblend.analysis import converge_csv, runge_error_table, scan_csv
+from baryblend.oracle import fh_value
 
 from .conftest import record_acceptance
 
@@ -238,7 +239,7 @@ def test_criterion_5_e0_reduction():
             scale_floor = np.abs(ys).max()
             for x in rng.uniform(-2.2, 2.2, 1000):
                 a = r.eval(float(x)).value
-                b = r.eval_fh(float(x)).value
+                b = fh_value(r, float(x))
                 worst = max(worst, abs(a - b) / max(abs(a), abs(b), scale_floor))
     ok = worst <= 1e-14
     record_acceptance("5 e=0 reduction", ok, f"worst rel {worst:.2e}")
@@ -295,7 +296,7 @@ def test_criterion_7_convergence_shapes(tmp_path):
 
     # chebyshev baseline: geometric decay before the precision floor
     ns = [20, 40, 60, 80, 100, 120, 140, 160]
-    errs = np.array([error_report(chebyshev_baseline(RUNGE, n), RUNGE,
+    errs = np.array([error_report(ChebyshevBaseline(RUNGE, n), RUNGE,
                                   grid, n=n).linf for n in ns])
     keep = errs > 1e-12
     r2, slope = _log_linear_r2(np.array(ns)[keep], errs[keep])
@@ -306,7 +307,7 @@ def test_criterion_7_convergence_shapes(tmp_path):
     errs_sp = []
     for n in ns_sp:
         nd = NodeSet.equispaced(-5, 5, n)
-        errs_sp.append(error_report(cubic_spline_baseline(nd, RUNGE(nd.xs)),
+        errs_sp.append(error_report(CubicSplineBaseline(nd, RUNGE(nd.xs)),
                                     RUNGE, grid, n=n).linf)
     sp_slope = np.polyfit(np.log10(ns_sp), np.log10(errs_sp), 1)[0]
     ok_spline = abs(sp_slope + 4.0) <= 0.5

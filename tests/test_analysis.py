@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from baryblend import (ExtParams, GridSpec, Interpolant, NodeSet, NoiseSpec,
-                       add_noise, chebyshev_baseline, converge_n,
-                       cubic_spline_baseline, error_report, gaussian_deviates,
+from baryblend import (ChebyshevBaseline, CubicSplineBaseline, ExtParams,
+                       GridSpec, Interpolant, NodeSet, NoiseSpec, add_noise,
+                       converge_n, error_report, gaussian_deviates,
                        get_function, lebesgue_constant, lebesgue_function,
                        register_function, scan_de)
 from baryblend.analysis import (converge_csv, runge_error_table,
@@ -50,12 +50,6 @@ class TestGridSpec:
         pts = GridSpec(2, per_subinterval=5).points(0, 1, nodes)
         assert pts.size == 4 * 5 + 1
         assert pts[0] == 0.0 and pts[-1] == 1.0
-
-    def test_offset_avoids_interior_nodes(self):
-        nodes = NodeSet.equispaced(0, 1, 4)
-        pts = GridSpec(9, offset_nodes=True).points(0, 1, nodes)
-        interior = pts[(pts > 0) & (pts < 1)]
-        assert all(nodes.snap_index(float(x)) is None for x in interior)
 
     def test_count_too_small(self):
         with pytest.raises(ValueError):
@@ -160,16 +154,16 @@ class TestErrorReport:
 class TestBaselines:
     def test_chebyshev_linear_exact(self):
         f = get_function("poly:0,1", (-2, 6))
-        cheb = chebyshev_baseline(f, 1)
+        cheb = ChebyshevBaseline(f, 1)
         for x in (-2.0, 0.3, 5.1, 6.0):
             assert cheb(x) == pytest.approx(x, rel=1e-14)
 
     def test_chebyshev_interpolates_at_nodes(self):
-        cheb = chebyshev_baseline(RUNGE, 12)
+        cheb = ChebyshevBaseline(RUNGE, 12)
         np.testing.assert_allclose(cheb(cheb.nodes.xs), cheb.ys, rtol=1e-12)
 
     def test_chebyshev_geometric_decay(self):
-        errs = [error_report(chebyshev_baseline(RUNGE, n), RUNGE,
+        errs = [error_report(ChebyshevBaseline(RUNGE, n), RUNGE,
                              GridSpec(4001)).linf for n in (20, 40, 80)]
         assert errs[1] < 0.1 * errs[0]
         assert errs[2] < 0.1 * errs[1]
@@ -177,21 +171,21 @@ class TestBaselines:
     def test_spline_reproduces_cubics(self):
         f = get_function("poly:0,0,0,1", (-1, 2))   # x^3
         nodes = NodeSet.equispaced(-1, 2, 7)
-        sp = cubic_spline_baseline(nodes, f(nodes.xs))
+        sp = CubicSplineBaseline(nodes, f(nodes.xs))
         for x in np.linspace(-1, 2, 23):
             assert sp(float(x)) == pytest.approx(x ** 3, rel=1e-12, abs=1e-12)
 
     def test_spline_interpolates_data(self, rng):
         nodes = NodeSet.equispaced(-5, 5, 9)
         ys = rng.standard_normal(10)
-        sp = cubic_spline_baseline(nodes, ys)
+        sp = CubicSplineBaseline(nodes, ys)
         np.testing.assert_allclose(sp(nodes.xs), ys, rtol=1e-12)
 
     def test_spline_quartic_rate(self):
         errs = {}
         for n in (20, 40, 80, 160, 320):
             nodes = NodeSet.equispaced(-5, 5, n)
-            sp = cubic_spline_baseline(nodes, RUNGE(nodes.xs))
+            sp = CubicSplineBaseline(nodes, RUNGE(nodes.xs))
             errs[n] = error_report(sp, RUNGE, GridSpec(20001), n=n).linf
         slope = np.polyfit(np.log10(list(errs)), np.log10(list(errs.values())), 1)[0]
         assert slope == pytest.approx(-4.0, abs=0.5)
@@ -199,11 +193,11 @@ class TestBaselines:
     def test_spline_too_few_nodes(self):
         nodes = NodeSet.equispaced(0, 1, 2)
         with pytest.raises(ValueError, match="n >= 3"):
-            cubic_spline_baseline(nodes, np.zeros(3))
+            CubicSplineBaseline(nodes, np.zeros(3))
 
     def test_chebyshev_needs_positive_n(self):
         with pytest.raises(ValueError, match="n >= 1"):
-            chebyshev_baseline(RUNGE, 0)
+            ChebyshevBaseline(RUNGE, 0)
 
 
 class TestNoise:

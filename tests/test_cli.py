@@ -1,6 +1,10 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 
+import baryblend
 from baryblend.cli import main
 
 
@@ -43,13 +47,23 @@ class TestEval:
         assert len(out.strip().split("\n")) == 12
 
     def test_weight_overflow_exits_2(self, capsys):
-        # the per-factor scale h**(-d) = 0.01**(-170) overflows a float
+        # the end tables hold h**4 = (5e299)**4, which overflows a float
         code, out, err = run_cli(
-            ["eval", "--interval", "-1", "1", "--n", "200", "--d", "170",
-             "--e", "4", "--at", "0.3"], capsys)
+            ["eval", "--fn", "poly:0,1", "--interval", "0", "2e300",
+             "--n", "4", "--d", "4", "--e", "4", "--at", "0.3"], capsys)
         assert code == 2
         assert out == ""
         assert "overflowed" in err
+
+    def test_weight_underflow_exits_2(self, capsys):
+        # every binomial weight 2**300 / 300! or less rounds to zero, and
+        # r(x) would print nan
+        code, out, err = run_cli(
+            ["eval", "--interval", "-500", "500", "--n", "400", "--d", "300",
+             "--e", "0", "--at", "0.3001"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "underflowed" in err
 
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -145,3 +159,14 @@ class TestOutputHandling:
         _, err = capsys.readouterr()
         assert code == 1
         assert "error:" in err
+
+
+def test_import_leaves_scipy_interpolate_out():
+    # only the spline baseline needs it, and it is most of the import time
+    src = os.path.dirname(os.path.dirname(baryblend.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, baryblend.cli; "
+         "print('scipy.interpolate' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -48,6 +48,14 @@ class TestNodeSetValidation:
         with pytest.raises(ValueError):
             NodeSet([1.0])
 
+    def test_spacing_is_not_a_constructor_argument(self):
+        # a spacing passed in would select binomial weights for any nodes
+        xs = [0.0, 0.05, 0.3, 0.35]
+        with pytest.raises(TypeError):
+            NodeSet(xs, spacing=0.1)
+        assert not NodeSet(xs).is_equispaced
+        assert NodeSet.equispaced(0, 1, 4).spacing == 0.25
+
     def test_nodes_are_immutable(self):
         nodes = NodeSet.equispaced(0, 1, 4)
         with pytest.raises(ValueError):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from baryblend import (ExtParams, NodeSet, PrecomputedWeights,
-                       barycentric_product, end_weight_tables, fh_weights)
+                       end_weight_tables, fh_weights)
 
-from .conftest import log_perturbed_nodes
+from .conftest import barycentric_product, log_perturbed_nodes
 
 
 def brute_force_fh(xs, d):
@@ -23,50 +23,55 @@ def brute_force_fh(xs, d):
     return w
 
 
+def unscale(nodes, d):
+    """The factor that turns :func:`fh_weights` and the end tables into
+    raw products: ``c**(-d)``, ``c`` the reference spacing."""
+    return nodes.reference_spacing() ** -d
+
+
 class TestFhWeights:
     def test_d0_alternating_unit_weights(self):
         nodes = NodeSet.equispaced(-1, 1, 4)
-        w, scale = fh_weights(nodes, 0)
-        assert scale == 1.0
+        w = fh_weights(nodes, 0)
         assert w.tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
 
     def test_unit_spacing_d1(self):
         nodes = NodeSet.equispaced(0, 2, 2)
-        w, scale = fh_weights(nodes, 1)
-        assert scale == 1.0
+        w = fh_weights(nodes, 1)
         assert w.tolist() == [-1.0, 2.0, -1.0]
 
     def test_d_equals_n_gives_polynomial_weights(self, rng):
         # single-term sums: the classical barycentric weights of the nodes
         xs = np.sort(rng.uniform(-2, 2, 4))
         nodes = NodeSet(xs)
-        w, scale = fh_weights(nodes, 3)
+        w, scale = fh_weights(nodes, 3), unscale(nodes, 3)
         expected = np.array([barycentric_product(xs, 0, j, 3) for j in range(4)])
         np.testing.assert_allclose(w * scale, expected, rtol=1e-13)
 
     @pytest.mark.parametrize("n,d", [(6, 0), (6, 3), (9, 5), (12, 12)])
     def test_matches_brute_force_equispaced(self, n, d):
         nodes = NodeSet.equispaced(-1.5, 2.5, n)
-        w, scale = fh_weights(nodes, d)
+        w, scale = fh_weights(nodes, d), unscale(nodes, d)
         np.testing.assert_allclose(w * scale, brute_force_fh(nodes.xs, d),
                                    rtol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(7, 2), (11, 6)])
     def test_matches_brute_force_general(self, n, d, rng):
         nodes = log_perturbed_nodes(-1.0, 3.0, n, rng)
-        w, scale = fh_weights(nodes, d)
+        w, scale = fh_weights(nodes, d), unscale(nodes, d)
         np.testing.assert_allclose(w * scale, brute_force_fh(nodes.xs, d),
                                    rtol=1e-12)
 
     def test_equispaced_scale_is_h_power(self):
+        # the binomial weights are the raw weights times h**3
         nodes = NodeSet.equispaced(-5, 5, 20)
-        _, scale = fh_weights(nodes, 3)
+        scale = brute_force_fh(nodes.xs, 3) / fh_weights(nodes, 3)
         h = 0.5
         assert scale == pytest.approx(h ** -3, rel=1e-15)
 
     def test_sign_alternation(self):
         nodes = NodeSet.equispaced(0, 1, 10)
-        w, _ = fh_weights(nodes, 4)
+        w = fh_weights(nodes, 4)
         signs = np.sign(w)
         assert np.all(signs[1:] == -signs[:-1])
 
@@ -78,9 +83,9 @@ class TestFhWeights:
             fh_weights(nodes, -1)
 
     def test_large_n_high_d_stays_finite(self):
-        # the rescale has to prevent overflow well past n*d ~ 1e3
+        # the binomial form has to stay in range well past n*d ~ 1e3
         nodes = NodeSet.equispaced(-1, 1, 10_000)
-        w, scale = fh_weights(nodes, 20)
+        w = fh_weights(nodes, 20)
         assert np.all(np.isfinite(w))
         assert np.max(np.abs(w)) < 1e18
         assert np.min(np.abs(w)) > 0.0
@@ -120,8 +125,7 @@ class TestEndWeightTables:
         params = ExtParams(2, 1)
         lower, upper = end_weight_tables(nodes, params)
         assert len(lower) == 1 and len(upper) == 1
-        _, scale = fh_weights(nodes, 2)
-        raw = lower[0] * scale
+        raw = lower[0] * unscale(nodes, 2)
         np.testing.assert_allclose(
             raw, [1.0 / (xs[0] - xs[1]), 1.0 / (xs[1] - xs[0])], rtol=1e-13)
 
@@ -131,7 +135,7 @@ class TestEndWeightTables:
         n, d, e = 10, 5, 3
         params = ExtParams(d, e)
         lower, upper = end_weight_tables(nodes, params)
-        _, scale = fh_weights(nodes, d)
+        scale = unscale(nodes, d)
         for k, i in enumerate(range(d - e, d)):
             raw = lower[k] * scale
             expected = [barycentric_product(xs, 0, j, i) for j in range(i + 1)]
@@ -164,8 +168,7 @@ class TestEndWeightTables:
         params = ExtParams(6, 4)
         le, ue = end_weight_tables(equi, params)
         lg, ug = end_weight_tables(gen, params)
-        _, se = fh_weights(equi, 6)
-        _, sg = fh_weights(gen, 6)
+        se, sg = unscale(equi, 6), unscale(gen, 6)
         for a, b in zip(le + ue, lg + ug):
             np.testing.assert_allclose(a * se, b * sg, rtol=1e-11)
 
@@ -178,9 +181,10 @@ class TestPrecomputedWeights:
         for row in pw.lower + pw.upper:
             assert np.all(np.isfinite(row))
 
-    def test_rescaled_adjusts_scale(self):
-        nodes = NodeSet.equispaced(0, 1, 8)
-        pw = PrecomputedWeights(nodes, ExtParams(4, 2))
-        pw2 = pw.rescaled(2.0 ** 50)
-        np.testing.assert_array_equal(pw2.fh, pw.fh * 2.0 ** 50)
-        assert pw2.scale == pw.scale / 2.0 ** 50
+    @pytest.mark.parametrize("a,n,params", [
+        (500.0, 400, ExtParams(300, 0)),    # 2**300 / 300! underflows
+        (1e-200, 8, ExtParams(4, 4)),       # h**4 in the end tables does
+    ])
+    def test_underflowed_weights_refused(self, a, n, params):
+        with pytest.raises(ValueError, match="underflowed"):
+            PrecomputedWeights(NodeSet.equispaced(-a, a, n), params)
