@@ -145,7 +145,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        text = _run(args)
+        # overflow is checked where it matters (samples and weights must be
+        # finite), so numpy's warning would only add lines to stderr
+        with np.errstate(over="ignore"):
+            text = _run(args)
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,8 @@ the node weights, a path independent of the end-correction machinery.
 ``denominator_sign_scan`` evaluates the common-denominator polynomial of
 the blend form (the one whose strict positivity rules out real poles) on a
 grid, via products over a node multiset with the endpoint nodes repeated
-``e`` extra times each.
+``e`` extra times each; ``denominator_sign_scans`` does so for a range of
+``d`` at once.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False,
     off = snap < 0
     out = np.asarray(ys, dtype=float)[snap]
     xo = x[off]
-    C = np.broadcast_to(wts.fh, (xo.size, n + 1)).copy()
+    C = np.broadcast_to(wts.fh, (xo.size, n + 1)).copy(order="F")
     ops = 0
     if e > 0:
         w0 = 1.0 / (xo - nodes.a)
@@ -209,9 +210,16 @@ def denominator_sign_scan(nodes: NodeSet, params: ExtParams, grid) -> SignScanRe
     everywhere witness the absence of real poles; a nonpositive value is
     reported, not raised.
     """
-    params.validate(nodes)
-    d, e = params.d, params.e
-    n = nodes.n
+    return denominator_sign_scans(nodes, params.e, [params.d], grid)[0]
+
+
+def denominator_sign_scans(nodes: NodeSet, e, ds, grid) -> list[SignScanReport]:
+    """:func:`denominator_sign_scan` for each ``d`` in ``ds`` at one ``e``,
+    one report per ``d``. The prefix and suffix sums depend only on the
+    nodes, ``e`` and the grid, so they are formed once for all of ``ds``.
+    """
+    ds = [ExtParams(d, e).validate(nodes).d for d in ds]
+    e, n = int(e), nodes.n
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a nonempty 1-D array of finite values")
@@ -232,22 +240,25 @@ def denominator_sign_scan(nodes: NodeSet, params: ExtParams, grid) -> SignScanRe
                                np.zeros((grid.size, 1))], axis=1)
     negs_suf = np.concatenate([np.cumsum(neg[:, ::-1], axis=1)[:, ::-1],
                                np.zeros((grid.size, 1), dtype=int)], axis=1)
-    # mu_i uses factors z_{-e}..z_{i-1} as (x - z) and z_{i+d+1}..z_{n+e}
-    # as (z - x); with array offsets: first i+e factors, last m-(i+e+d+1).
-    i_vals = np.arange(-e, n - d + e + 1)
-    lead = i_vals + e               # factors taken from the front
-    tail_start = lead + d + 1       # array index where the suffix begins
-    L = logs_pre[:, lead] + logs_suf[:, tail_start]
-    flips = negs_pre[:, lead] + (m - tail_start)[None, :] - negs_suf[:, tail_start]
-    # (z - x) < 0 exactly where (x - z) > 0, hence the complement count
-    sign = np.where(flips % 2 == 0, 1.0, -1.0)
-    Lmax = L.max(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        mags = np.exp(L - Lmax)
-    mags[np.isnan(mags)] = 0.0      # -inf minus -inf: a vanished term
-    s = (sign * mags).sum(axis=1)
-    norm = mags.sum(axis=1)
-    vals = s / norm
-    k = int(np.argmin(vals))
-    return SignScanReport(float(vals[k]), float(grid[k]),
-                          bool(np.all(vals > 0.0)), grid.size)
+    reports = []
+    for d in ds:
+        # mu_i uses factors z_{-e}..z_{i-1} as (x - z) and z_{i+d+1}..z_{n+e}
+        # as (z - x); with array offsets: first i+e factors, last m-(i+e+d+1).
+        i_vals = np.arange(-e, n - d + e + 1)
+        lead = i_vals + e               # factors taken from the front
+        tail_start = lead + d + 1       # array index where the suffix begins
+        L = logs_pre[:, lead] + logs_suf[:, tail_start]
+        flips = negs_pre[:, lead] + (m - tail_start)[None, :] - negs_suf[:, tail_start]
+        # (z - x) < 0 exactly where (x - z) > 0, hence the complement count
+        sign = np.where(flips % 2 == 0, 1.0, -1.0)
+        Lmax = L.max(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            mags = np.exp(L - Lmax)
+        mags[np.isnan(mags)] = 0.0      # -inf minus -inf: a vanished term
+        s = (sign * mags).sum(axis=1)
+        norm = mags.sum(axis=1)
+        vals = s / norm
+        k = int(np.argmin(vals))
+        reports.append(SignScanReport(float(vals[k]), float(grid[k]),
+                                      bool(np.all(vals > 0.0)), grid.size))
+    return reports

@@ -11,13 +11,17 @@ carry along, and the factor is chosen to keep magnitudes O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, factorial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .nodes import NodeSet
 
 _EXTREME = "weight computation overflowed or underflowed; nodes too extreme"
+# Doubles in one chunk of window factors of a general-node weight build.
+_BLOCK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -56,29 +60,51 @@ def fh_weights(nodes: NodeSet, d):
     collapse to binomial sums, exact integers ``<= 2**d``, over a common
     ``d!``. For general nodes every factor of every product is divided by
     ``c``, which keeps intermediates O(1) for large ``n*d``.
+
+    Cost: on an equispaced lattice, one array fill, plus exact integer
+    prefix sums of ``comb(d, k)`` for the ``2d`` end weights (the interior
+    ones are all ``2**d``). For general nodes, O(n * d**2) arithmetic in
+    O(d) numpy calls per chunk of about ``_BLOCK // (d + 1)`` windows, so
+    that no temporary grows with ``n``: a chunk forms its products factor
+    by factor from the left, as ``np.prod`` does, and then adds them into
+    the weights column by column, so that each weight receives its windows
+    in ascending order.
     """
     if not 0 <= int(d) <= nodes.n:
         raise ValueError("d must satisfy 0 <= d <= n")
     d = int(d)
-    xs = nodes.xs
     n = nodes.n
-    w = np.zeros(n + 1)
     if nodes.is_equispaced:
+        # pre[t] = comb(d, 0) + ... + comb(d, t - 1); node j sums the
+        # offsets k = max(0, j - n + d) .. min(j, d) of its windows
+        pre = [0, *accumulate(comb(d, k) for k in range(d + 1))]
         fact = factorial(d)
-        for j in range(n + 1):
-            s = sum(comb(d, j - i)
-                    for i in range(max(0, j - d), min(j, n - d) + 1))
-            w[j] = (s if (j - d) % 2 == 0 else -s) / fact
+        w = np.full(n + 1, pre[-1] / fact)
+        for j in (*range(d), *range(n - d + 1, n + 1)):
+            w[j] = (pre[min(j, d) + 1] - pre[max(0, j - n + d)]) / fact
+        w[(d + 1) % 2::2] *= -1.0           # the sign (-1)**(j - d)
         return w
     c = nodes.reference_spacing()
-    for i in range(n - d + 1):
-        block = xs[i:i + d + 1]
-        m = (block[:, None] - block[None, :]) / c
-        np.fill_diagonal(m, 1.0)
-        prod = 1.0 / np.prod(m, axis=1)
-        if i % 2:
-            prod = -prod
-        w[i:i + d + 1] += prod
+    w = np.zeros(n + 1)
+    win = sliding_window_view(nodes.xs, d + 1)   # win[i] = x_i .. x_{i+d}
+    q = max(1, _BLOCK // (d + 1))
+    f = np.empty((min(q, n - d + 1), d + 1))
+    for i0 in range(0, n - d + 1, q):
+        blk = win[i0:i0 + q]
+        fb = f[:len(blk)]
+        p = np.ones_like(fb)
+        for l in range(d + 1):
+            # fb[i, j]: factor l of the product of node j of window i0 + i
+            np.subtract(blk, blk[:, l:l + 1], out=fb)
+            fb /= c
+            fb[:, l] = 1.0
+            p *= fb
+        np.divide(1.0, p, out=p)
+        p[1 - i0 % 2::2] *= -1.0            # odd windows
+        # weight i0 + i + k gets window i0 + i from column k: by descending
+        # k, each weight sees its windows in ascending order
+        for k in range(d, -1, -1):
+            w[i0 + k:i0 + k + len(blk)] += p[:, k]
     return w
 
 

@@ -9,11 +9,11 @@ import pytest
 
 from baryblend import (ChebyshevBaseline, CubicSplineBaseline, ExtParams,
                        GridSpec, Interpolant, NodeSet, NoiseSpec, add_noise,
-                       blend_form_value, converge_n, denominator_sign_scan,
+                       blend_form_value, converge_n,
                        error_report, get_function, lebesgue_constant,
                        lebesgue_function, scan_de)
 from baryblend.analysis import converge_csv, runge_error_table, scan_csv
-from baryblend.oracle import fh_value
+from baryblend.oracle import denominator_sign_scans, fh_value
 
 from .conftest import record_acceptance
 
@@ -166,9 +166,10 @@ def test_criterion_3_no_pole_witness():
         node_sets.append(NodeSet(np.sort(xs)))
         for nodes in node_sets:
             grid = np.linspace(nodes.a, nodes.b, 10_000)
-            for d in range(0, min(12, n) + 1):
-                for e in range(0, d + 1):
-                    rep = denominator_sign_scan(nodes, ExtParams(d, e), grid)
+            dmax = min(12, n)
+            for e in range(0, dmax + 1):
+                ds = range(e, dmax + 1)
+                for d, rep in zip(ds, denominator_sign_scans(nodes, e, ds, grid)):
                     checked += 1
                     min_seen = min(min_seen, rep.min_value)
                     if not rep.all_positive:

@@ -55,6 +55,23 @@ class TestEval:
         assert out == ""
         assert "overflowed" in err
 
+    def test_overflowing_samples_give_one_line(self):
+        # Runge at 2e300 squares to inf (a sample of 0.0, then weights that
+        # overflow); x**2 at 1e200 is an inf sample. numpy's overflow
+        # warning must not add two lines before the diagnostic.
+        src = os.path.dirname(os.path.dirname(baryblend.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for fn, b in (("runge", "2e300"), ("poly:0,0,1", "1e200")):
+            out = subprocess.run(
+                [sys.executable, "-m", "baryblend.cli", "eval", "--fn", fn,
+                 "--interval", "0", b, "--n", "4", "--d", "4", "--e", "4",
+                 "--at", "0.3"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert out.returncode == 2
+            assert out.stdout == ""
+            assert out.stderr.count("\n") == 1
+            assert out.stderr.startswith("error: ")
+
     def test_weight_underflow_exits_2(self, capsys):
         # every binomial weight 2**300 / 300! or less rounds to zero, and
         # r(x) would print nan

@@ -6,6 +6,7 @@ import pytest
 from baryblend import (ExtParams, Interpolant, NodeSet, PrecomputedWeights,
                        dump_interpolant, lebesgue_function,
                        load_interpolant, zeta_eta)
+from baryblend.interpolant import _SWEEP_MIN, end_coefs, term_sums
 from baryblend.oracle import dense_values, fh_value
 
 from .conftest import (barycentric_product, log_perturbed_nodes,
@@ -327,6 +328,67 @@ class TestKernel:
         leb = lebesgue_function(r.nodes, r.params, x)
         assert np.array_equal(
             bits([lebesgue_function(r.nodes, r.params, v) for v in x]), bits(leb))
+
+    @pytest.mark.parametrize("n,d,e", [
+        (1, 1, 0), (1, 1, 1),
+        (4, 4, 0), (4, 4, 3), (4, 4, 4),      # the end blocks overlap
+        (5, 4, 0), (5, 4, 3), (5, 4, 4),
+        (30, 10, 0), (30, 10, 3), (30, 10, 10),
+        (1000, 14, 0), (1000, 14, 3), (1000, 14, 14),
+    ])
+    def test_block_heights(self, n, d, e, rng):
+        # each batch size m takes its own number of nodes per step, and the
+        # scalar paths are blocks of m = 1: all must add the same terms in
+        # the same order
+        r = kernel_case(n, d, e, rng)
+        unit = np.zeros(n + 1)
+        for m in (1, 2, 3, 31, 32, 33, _SWEEP_MIN - 1, _SWEEP_MIN,
+                  4095, 4096, 4097):
+            x = rng.uniform(-1.1, 1.1, m)
+            pick = rng.choice(m, min(m, 6), replace=False)
+            vec = r(x)
+            assert np.array_equal(bits(vec),
+                                  bits(dense_values(r.nodes, r.ys, r.params, x)))
+            assert np.array_equal(bits([r.eval(x[p]).value for p in pick]),
+                                  bits(vec[pick]))
+            for j in {0, n, d - 1, n - d + 1}:
+                unit[:] = 0.0
+                unit[j] = 1.0
+                vec = r.basis(j, x)
+                assert np.array_equal(
+                    bits(vec), bits(dense_values(r.nodes, unit, r.params, x)))
+                assert np.array_equal(bits([r.basis(j, x[p]) for p in pick]),
+                                      bits(vec[pick]))
+            leb = lambda v: lebesgue_function(r.nodes, r.params, v, r.weights)
+            assert np.array_equal(bits([leb(x[p]) for p in pick]),
+                                  bits(leb(x)[pick]))
+
+    def test_single_point_spans_blocks(self, rng):
+        # past 8192 nodes a single point takes more than one block
+        r = Interpolant.from_function(NodeSet.equispaced(-5.0, 5.0, 10_000),
+                                      runge, d=8, e=4)
+        x = rng.uniform(-5.0, 5.0, 5)
+        want = dense_values(r.nodes, r.ys, r.params, x)
+        assert np.array_equal(bits([r.eval(v).value for v in x]), bits(want))
+        assert np.array_equal(bits(r(x)), bits(want))
+
+    def test_empty_batch(self, rng):
+        r = kernel_case(30, 10, 4, rng)
+        x = np.empty(0)
+        ends = end_coefs(r.weights, r.nodes, r.params, x)
+        for sums in (term_sums(r.nodes.xs, r.weights.fh, x, r.ys, ends),
+                     term_sums(r.nodes.xs, r.weights.fh, x, r.ys, ends,
+                               compensated=True)):
+            assert [a.shape for a in sums] == [(0,), (0,)]
+
+    def test_axis0_reduce_adds_rows_in_order(self):
+        # the block kernel relies on this: numpy adds the rows of a
+        # C-contiguous block one after the other, column by column, so the
+        # small terms round away one at a time; a pairwise sum would give
+        # 1 + 1e-13
+        block = np.full((1001, 2), 1e-16)
+        block[0] = 1.0
+        assert np.array_equal(np.add.reduce(block, axis=0), [1.0, 1.0])
 
     def test_chunk_memory_stays_small_at_large_n(self, rng):
         # a dense chunk x (n+1) coefficient block would take 313 MiB

@@ -1,10 +1,13 @@
+from math import comb, factorial
+
 import numpy as np
 import pytest
 
 from baryblend import (ExtParams, NodeSet, PrecomputedWeights,
                        end_weight_tables, fh_weights)
 
-from .conftest import barycentric_product, log_perturbed_nodes
+from .conftest import (barycentric_product, log_perturbed_nodes,
+                       perturbed_nodes)
 
 
 def brute_force_fh(xs, d):
@@ -21,6 +24,37 @@ def brute_force_fh(xs, d):
             s += p if i % 2 == 0 else -p
         w[j] = s
     return w
+
+
+def window_loop_fh(nodes, d):
+    """:func:`fh_weights` as a plain loop, one window (or one binomial sum)
+    at a time: the bit-level reference for the vectorized build."""
+    xs = nodes.xs
+    n = nodes.n
+    w = np.zeros(n + 1)
+    if nodes.is_equispaced:
+        fact = factorial(d)
+        for j in range(n + 1):
+            s = sum(comb(d, j - i)
+                    for i in range(max(0, j - d), min(j, n - d) + 1))
+            w[j] = (s if (j - d) % 2 == 0 else -s) / fact
+        return w
+    c = nodes.reference_spacing()
+    for i in range(n - d + 1):
+        block = xs[i:i + d + 1]
+        m = (block[:, None] - block[None, :]) / c
+        np.fill_diagonal(m, 1.0)
+        prod = 1.0 / np.prod(m, axis=1)
+        if i % 2:
+            prod = -prod
+        w[i:i + d + 1] += prod
+    return w
+
+
+def bit_cases():
+    for n in (1, 2, 5, 64, 1000):
+        for d in sorted({0, 1, min(14, n)} | ({n} if n <= 200 else set())):
+            yield n, d
 
 
 def unscale(nodes, d):
@@ -81,6 +115,28 @@ class TestFhWeights:
             fh_weights(nodes, 5)
         with pytest.raises(ValueError, match="0 <= d <= n"):
             fh_weights(nodes, -1)
+
+    @pytest.mark.parametrize("kind", ["jittered", "log-perturbed"])
+    @pytest.mark.parametrize("n,d", list(bit_cases()))
+    def test_bits_match_window_loop(self, kind, n, d, rng):
+        if kind == "jittered":
+            nodes = perturbed_nodes(-1.0, 3.0, n, rng)
+        else:
+            nodes = log_perturbed_nodes(-1.0, 3.0, n, rng)
+        want = window_loop_fh(nodes, d)
+        assert np.array_equal(fh_weights(nodes, d).view(np.int64),
+                              want.view(np.int64))
+
+    @pytest.mark.parametrize("n,d", list(bit_cases()))
+    def test_equispaced_bits_match_window_loop(self, n, d):
+        nodes = NodeSet.equispaced(-1.0, 3.0, n)
+        w = fh_weights(nodes, d)
+        assert np.array_equal(w.view(np.int64),
+                              window_loop_fh(nodes, d).view(np.int64))
+        # every interior weight sums all d + 1 windows: +-2**d / d! exactly
+        inner = np.arange(d, n - d + 1)
+        sign = np.where((inner - d) % 2 == 0, 1.0, -1.0)
+        assert np.array_equal(w[inner], sign * (2 ** d / factorial(d)))
 
     def test_large_n_high_d_stays_finite(self):
         # the binomial form has to stay in range well past n*d ~ 1e3
