@@ -20,12 +20,11 @@ from .analysis import (ChebyshevBaseline, CubicSplineBaseline, ErrorReport,
                        lebesgue_function, register_function,
                        runge_error_table, scan_de)
 from .interpolant import (EvalOutcome, Interpolant, dump_interpolant,
-                          load_interpolant, term_rows, zeta_eta)
+                          load_interpolant)
 from .nodes import NodeSet
 from .oracle import (SignScanReport, blend_form_value, blending_weights,
                      denominator_sign_scan)
-from .weights import (ExtParams, PrecomputedWeights, end_weight_tables,
-                      fh_weights)
+from .weights import ExtParams, PrecomputedWeights
 
 __version__ = "0.1.0"
 
@@ -34,9 +33,8 @@ __all__ = [
     "ExtParams", "GridSpec", "Interpolant", "LebesgueReport", "NodeSet",
     "NoiseSpec", "PrecomputedWeights", "ReferenceFunction", "ScanResult",
     "SignScanReport", "add_noise", "blend_form_value", "blending_weights",
-    "converge_n", "denominator_sign_scan",
-    "dump_interpolant", "end_weight_tables", "error_report", "fh_weights",
-    "gaussian_deviates", "get_function", "lebesgue_constant",
-    "lebesgue_function", "load_interpolant", "register_function",
-    "runge_error_table", "scan_de", "term_rows", "zeta_eta",
+    "converge_n", "denominator_sign_scan", "dump_interpolant",
+    "error_report", "gaussian_deviates", "get_function",
+    "lebesgue_constant", "lebesgue_function", "load_interpolant",
+    "register_function", "runge_error_table", "scan_de",
 ]

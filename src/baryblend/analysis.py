@@ -10,7 +10,8 @@ interpolants. Sweep results serialize to CSV with columns
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -323,6 +324,14 @@ def add_noise(ys, spec: NoiseSpec):
     return ys + spec.sigma * gaussian_deviates(spec.seed, ys.size)
 
 
+def equispaced_samples(f: ReferenceFunction, n, noise: NoiseSpec | None = None):
+    """``n + 1`` equispaced nodes on ``f``'s interval and ``f`` sampled
+    there, with ``noise`` added when given: the data of every sweep."""
+    nodes = NodeSet.equispaced(*f.interval, n)
+    ys = f(nodes.xs)
+    return nodes, ys if noise is None else add_noise(ys, noise)
+
+
 # -- sweeps -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -349,14 +358,6 @@ class ScanResult:
                 return c
         raise KeyError((d, e))
 
-    def log10_linf(self, d, e):
-        c = self.cell(d, e)
-        return None if c.linf is None else float(np.log10(c.linf))
-
-    def log10_lebesgue(self, d, e):
-        c = self.cell(d, e)
-        return None if c.lebesgue is None else float(np.log10(c.lebesgue))
-
 
 def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
             noise: NoiseSpec | None = None,
@@ -367,10 +368,7 @@ def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
     output stays rectangular. Every valid cell is pure and independent;
     results are assembled in (d, e) order regardless of evaluation order.
     """
-    a, b = f.interval
-    nodes = NodeSet.equispaced(a, b, n)
-    clean = f(nodes.xs)
-    ys = add_noise(clean, noise) if noise is not None else clean
+    nodes, ys = equispaced_samples(f, n, noise)
     cells = []
     for d in d_range:
         for e in e_range:
@@ -381,9 +379,8 @@ def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
             rep = error_report(interp, f, grid)
             leb = lebesgue_constant(nodes, ExtParams(d, e), lebesgue_grid)
             cells.append(ScanCell(d, e, rep.linf, rep.l1, leb.lambda_max))
-    return ScanResult(nodes.n, (a, b), cells,
-                      noise.seed if noise else None,
-                      noise.sigma if noise else None)
+    seed, sigma = (noise.seed, noise.sigma) if noise else (None, None)
+    return ScanResult(nodes.n, f.interval, cells, seed, sigma)
 
 
 @dataclass(frozen=True)
@@ -404,16 +401,13 @@ def converge_n(f: ReferenceFunction, configs, n_list, grid: GridSpec,
     ``("spline",)``. Invalid combinations (d > n, spline with n < 3) yield
     sentinel rows.
     """
-    a, b = f.interval
     rows = []
     for cfg in configs:
         kind = cfg[0]
         if kind not in ("fh", "ext", "cheb", "spline"):
             raise ValueError(f"unknown config kind {kind!r}")
         for n in n_list:
-            nodes = NodeSet.equispaced(a, b, n)
-            clean = f(nodes.xs)
-            ys = add_noise(clean, noise) if noise is not None else clean
+            nodes, ys = equispaced_samples(f, n, noise)
             d = int(cfg[1]) if kind in ("fh", "ext") else None
             e = 0 if kind == "fh" else int(cfg[2]) if kind == "ext" else None
             if (d is not None and d > n) or (kind == "spline" and n < 3):
@@ -464,8 +458,7 @@ def runge_error_table(grid: GridSpec | None = None) -> list[RungeTableRow]:
     f = get_function("runge")
     rows = []
     for n, d_fh in RUNGE_TABLE_ROWS:
-        nodes = NodeSet.equispaced(-5.0, 5.0, n)
-        ys = f(nodes.xs)
+        nodes, ys = equispaced_samples(f, n)
         rep_fh = error_report(Interpolant(nodes, ys, d_fh, 0), f, grid)
         d_ext, e_ext = min(14, n), 4
         rep_ext = error_report(Interpolant(nodes, ys, d_ext, e_ext), f, grid)
@@ -477,52 +470,45 @@ def runge_error_table(grid: GridSpec | None = None) -> list[RungeTableRow]:
 # -- CSV output -------------------------------------------------------------
 
 def _fmt(v):
-    if v is None:
-        return SENTINEL
     if isinstance(v, float):
         return repr(float(v))
-    return str(v)
+    if v is None:
+        return SENTINEL
+    v = str(v)
+    return f'"{v}"' if "," in v else v
+
+
+def _csv(header, rows):
+    """The header line, then a line per row of one value per column."""
+    fields = map(_fmt, chain.from_iterable(rows))
+    lines = zip(*[fields] * (header.count(",") + 1))    # a field per column
+    return "\n".join([header, *map(",".join, lines)]) + "\n"
 
 
 def scan_csv(result: ScanResult) -> str:
-    lines = ["n,d,e,linf,l1,lebesgue,seed,sigma"]
-    for c in result.cells:
-        lines.append(",".join(_fmt(v) for v in (
-            result.n, c.d, c.e, c.linf, c.l1, c.lebesgue,
-            result.seed, result.sigma)))
-    return "\n".join(lines) + "\n"
+    return _csv("n,d,e,linf,l1,lebesgue,seed,sigma", (
+        (result.n, c.d, c.e, c.linf, c.l1, c.lebesgue, result.seed,
+         result.sigma) for c in result.cells))
 
 
 def converge_csv(rows: list[ConvergeRow],
                  noise: NoiseSpec | None = None) -> str:
-    seed = noise.seed if noise else None
-    sigma = noise.sigma if noise else None
-    lines = ["method,n,d,e,linf,l1,lebesgue,seed,sigma"]
-    for r in rows:
-        method = f'"{r.method}"' if "," in r.method else r.method
-        lines.append(",".join([method] + [_fmt(v) for v in (
-            r.n, r.d, r.e, r.linf, r.l1, None, seed, sigma)]))
-    return "\n".join(lines) + "\n"
+    seed, sigma = (noise.seed, noise.sigma) if noise else (None, None)
+    return _csv("method,n,d,e,linf,l1,lebesgue,seed,sigma", (
+        (r.method, r.n, r.d, r.e, r.linf, r.l1, None, seed, sigma)
+        for r in rows))
 
 
 def runge_table_csv(rows: list[RungeTableRow]) -> str:
-    lines = ["n,d_fh,linf_fh,l1_fh,d_ext,e_ext,linf_ext,l1_ext"]
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in (
-            r.n, r.d_fh, r.linf_fh, r.l1_fh,
-            r.d_ext, r.e_ext, r.linf_ext, r.l1_ext)))
-    return "\n".join(lines) + "\n"
+    return _csv("n,d_fh,linf_fh,l1_fh,d_ext,e_ext,linf_ext,l1_ext",
+                map(astuple, rows))
 
 
 def lebesgue_csv(n, d, e, report: LebesgueReport) -> str:
-    lines = ["n,d,e,lebesgue,argmax_x",
-             ",".join(_fmt(v) for v in (n, d, e, report.lambda_max,
-                                        report.argmax_x))]
-    return "\n".join(lines) + "\n"
+    return _csv("n,d,e,lebesgue,argmax_x",
+                [(n, d, e, report.lambda_max, report.argmax_x)])
 
 
 def eval_csv(xs, values) -> str:
-    lines = ["x,r"]
-    for x, v in zip(xs, values):
-        lines.append(f"{_fmt(float(x))},{_fmt(float(v))}")
-    return "\n".join(lines) + "\n"
+    return _csv("x,r", zip(np.asarray(xs, dtype=float).tolist(),
+                           np.asarray(values, dtype=float).tolist()))

@@ -13,10 +13,10 @@ import sys
 
 import numpy as np
 
-from .analysis import (GridSpec, NoiseSpec, add_noise, converge_csv,
-                       converge_n, eval_csv, get_function, lebesgue_constant,
-                       lebesgue_csv, runge_error_table, runge_table_csv,
-                       scan_csv, scan_de)
+from .analysis import (GridSpec, NoiseSpec, converge_csv, converge_n,
+                       equispaced_samples, eval_csv, get_function,
+                       lebesgue_constant, lebesgue_csv, runge_error_table,
+                       runge_table_csv, scan_csv, scan_de)
 from .interpolant import Interpolant
 from .nodes import NodeSet
 from .weights import ExtParams
@@ -78,9 +78,8 @@ def build_parser():
 
 
 def _noise(args):
-    if getattr(args, "sigma", None) is None:
-        return None
-    return NoiseSpec(sigma=args.sigma, seed=args.seed)
+    sigma = getattr(args, "sigma", None)
+    return None if sigma is None else NoiseSpec(sigma=sigma, seed=args.seed)
 
 
 def _parse_config(token):
@@ -111,11 +110,7 @@ def _run(args):
 
     f = get_function(args.fn, args.interval)
     if args.command == "eval":
-        nodes = NodeSet.equispaced(*f.interval, args.n)
-        ys = f(nodes.xs)
-        noise = _noise(args)
-        if noise is not None:
-            ys = add_noise(ys, noise)
+        nodes, ys = equispaced_samples(f, args.n, _noise(args))
         interp = Interpolant(nodes, ys, args.d, args.e)
         pts = (np.asarray(args.at, dtype=float) if args.at
                else GridSpec(args.grid).points(*f.interval))

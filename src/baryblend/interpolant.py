@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nodes import NodeSet, validate_samples
-from .weights import ExtParams, PrecomputedWeights
+from .weights import ExtParams, PrecomputedWeights, whole
 
 _CHUNK = 4096
 # A batch of m points takes about _BLOCK // m nodes per step of the kernel,
@@ -321,15 +321,16 @@ class Interpolant:
 
     def basis(self, j, x):
         """The ``j``-th basis function: the interpolant of the unit sample
-        at node ``j``. Scalar or array ``x``."""
-        n = self.nodes.n
-        if not 0 <= int(j) <= n:
+        at node ``j``, an integral index in ``0 .. n``. Scalar or array
+        ``x``."""
+        n, k = self.nodes.n, whole(j)
+        if k is None or not 0 <= k <= n:
             raise IndexError(f"node index out of range: {j}")
         unit = np.zeros(n + 1)
-        unit[int(j)] = 1.0
+        unit[k] = 1.0
 
         def off_nodes(xo):
-            tj, den = term_sums(self.nodes.xs, self.weights.fh, xo, col=int(j),
+            tj, den = term_sums(self.nodes.xs, self.weights.fh, xo, col=k,
                                 ends=end_coefs(self.weights, self.nodes,
                                                self.params, xo))
             return tj / den

@@ -225,21 +225,19 @@ def denominator_sign_scans(nodes: NodeSet, e, ds, grid) -> list[SignScanReport]:
         raise ValueError("grid must be a nonempty 1-D array of finite values")
     z = np.concatenate([np.full(e, nodes.a), nodes.xs, np.full(e, nodes.b)])
     m = z.size                      # n + 2e + 1 values, indices -e .. n+e
-    x = grid[:, None]
-    diff = x - z[None, :]           # (g, m)
+    diff = grid[None, :] - z[:, None]   # (m, g): x - z, one factor per row
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(diff))
-    neg = diff < 0.0
-    # prefix[:, t] = sum over the first t factors; suffix[:, t] = sum from
-    # factor t on (built directly: -inf entries would make total-minus-
-    # prefix produce NaN)
-    logs_pre = np.concatenate([np.zeros((grid.size, 1)), np.cumsum(logs, axis=1)], axis=1)
-    negs_pre = np.concatenate([np.zeros((grid.size, 1), dtype=int),
-                               np.cumsum(neg, axis=1)], axis=1)
-    logs_suf = np.concatenate([np.cumsum(logs[:, ::-1], axis=1)[:, ::-1],
-                               np.zeros((grid.size, 1))], axis=1)
-    negs_suf = np.concatenate([np.cumsum(neg[:, ::-1], axis=1)[:, ::-1],
-                               np.zeros((grid.size, 1), dtype=int)], axis=1)
+
+    def sums(a):
+        # prefix[t] sums the first t factors, suffix[t] those from t on
+        # (built directly: -inf entries would make total-minus-prefix NaN)
+        zero = np.zeros((1, grid.size), dtype=int)
+        return (np.concatenate([zero, np.cumsum(a, axis=0)]),
+                np.concatenate([np.cumsum(a[::-1], axis=0)[::-1], zero]))
+
+    logs_pre, logs_suf = sums(logs)
+    negs_pre, negs_suf = sums(diff < 0.0)
     reports = []
     for d in ds:
         # mu_i uses factors z_{-e}..z_{i-1} as (x - z) and z_{i+d+1}..z_{n+e}
@@ -247,16 +245,17 @@ def denominator_sign_scans(nodes: NodeSet, e, ds, grid) -> list[SignScanReport]:
         i_vals = np.arange(-e, n - d + e + 1)
         lead = i_vals + e               # factors taken from the front
         tail_start = lead + d + 1       # array index where the suffix begins
-        L = logs_pre[:, lead] + logs_suf[:, tail_start]
-        flips = negs_pre[:, lead] + (m - tail_start)[None, :] - negs_suf[:, tail_start]
+        # one C-ordered row per term i, so that np.add.reduce over axis 0
+        # adds the terms in order of i
+        L = logs_pre[lead] + logs_suf[tail_start]
+        flips = negs_pre[lead] + (m - tail_start)[:, None] - negs_suf[tail_start]
         # (z - x) < 0 exactly where (x - z) > 0, hence the complement count
         sign = np.where(flips % 2 == 0, 1.0, -1.0)
-        Lmax = L.max(axis=1, keepdims=True)
         with np.errstate(invalid="ignore"):
-            mags = np.exp(L - Lmax)
+            mags = np.exp(L - L.max(axis=0))
         mags[np.isnan(mags)] = 0.0      # -inf minus -inf: a vanished term
-        s = (sign * mags).sum(axis=1)
-        norm = mags.sum(axis=1)
+        s = np.add.reduce(sign * mags, axis=0)
+        norm = np.add.reduce(mags, axis=0)
         vals = s / norm
         k = int(np.argmin(vals))
         reports.append(SignScanReport(float(vals[k]), float(grid[k]),

@@ -1,11 +1,11 @@
 """Precomputed interpolation weights.
 
 Everything that does not depend on the evaluation point lives here: the
-classical rational-blend weights for each node, and the end-correction
-coefficient tables used when extra low-degree local polynomials are blended
-in at the interval ends. Stored quantities are defined only up to one
-common factor, which cancels in the evaluation ratio; there is no scale to
-carry along, and the factor is chosen to keep magnitudes O(1).
+classical rational-blend weights for each node, and, when extra low-degree
+local polynomials are blended in at the interval ends, the one row of each
+end-correction table that the Horner-form evaluators read. Stored
+quantities are defined only up to one common factor, which cancels in the
+evaluation ratio; the factor is chosen to keep magnitudes O(1).
 """
 
 from __future__ import annotations
@@ -24,13 +24,22 @@ _EXTREME = "weight computation overflowed or underflowed; nodes too extreme"
 _BLOCK = 2 ** 13
 
 
+def whole(v):
+    """``v`` as an int if it is integral (``3`` or ``3.0``), else ``None``."""
+    try:
+        return int(v) if int(v) == v else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 @dataclass(frozen=True)
 class ExtParams:
     """Blend parameters: local degree ``d`` and end-interpolant count ``e``.
 
     ``e = 0`` gives the classical construction; each unit of ``e`` adds one
     extra local polynomial interpolant of reduced degree at each end of the
-    interval. Validity (``0 <= d <= n`` and ``0 <= e <= d``) is checked
+    interval. Both must be integral (``3.0`` counts as ``3``, ``2.7`` is
+    refused). Validity (``0 <= d <= n`` and ``0 <= e <= d``) is checked
     against a node set. Instances are immutable and hashable.
     """
 
@@ -38,7 +47,9 @@ class ExtParams:
     e: int = 0
 
     def __post_init__(self):
-        d, e = int(self.d), int(self.e)
+        d, e = whole(self.d), whole(self.e)
+        if d is None or e is None:
+            raise ValueError("d and e must be integers")
         if d < 0:
             raise ValueError("d must satisfy 0 <= d <= n")
         if not 0 <= e <= d:
@@ -50,6 +61,19 @@ class ExtParams:
         if self.d > nodes.n:
             raise ValueError("d must satisfy 0 <= d <= n")
         return self
+
+
+def _inverse_products(win, c):
+    """``1 / prod_{l != j} ((x_j - x_l) / c)`` for node ``j`` of each row
+    of ``win``, the factors multiplied from the left as ``np.prod`` does."""
+    f = np.empty_like(win)
+    p = np.ones_like(win)
+    for l in range(win.shape[1]):
+        np.subtract(win, win[:, l:l + 1], out=f)
+        f /= c
+        f[:, l] = 1.0
+        p *= f
+    return np.divide(1.0, p, out=p)
 
 
 def fh_weights(nodes: NodeSet, d):
@@ -65,10 +89,8 @@ def fh_weights(nodes: NodeSet, d):
     prefix sums of ``comb(d, k)`` for the ``2d`` end weights (the interior
     ones are all ``2**d``). For general nodes, O(n * d**2) arithmetic in
     O(d) numpy calls per chunk of about ``_BLOCK // (d + 1)`` windows, so
-    that no temporary grows with ``n``: a chunk forms its products factor
-    by factor from the left, as ``np.prod`` does, and then adds them into
-    the weights column by column, so that each weight receives its windows
-    in ascending order.
+    that no temporary grows with ``n``; each weight receives the products
+    of its windows in ascending order.
     """
     if not 0 <= int(d) <= nodes.n:
         raise ValueError("d must satisfy 0 <= d <= n")
@@ -88,75 +110,42 @@ def fh_weights(nodes: NodeSet, d):
     w = np.zeros(n + 1)
     win = sliding_window_view(nodes.xs, d + 1)   # win[i] = x_i .. x_{i+d}
     q = max(1, _BLOCK // (d + 1))
-    f = np.empty((min(q, n - d + 1), d + 1))
     for i0 in range(0, n - d + 1, q):
-        blk = win[i0:i0 + q]
-        fb = f[:len(blk)]
-        p = np.ones_like(fb)
-        for l in range(d + 1):
-            # fb[i, j]: factor l of the product of node j of window i0 + i
-            np.subtract(blk, blk[:, l:l + 1], out=fb)
-            fb /= c
-            fb[:, l] = 1.0
-            p *= fb
-        np.divide(1.0, p, out=p)
+        p = _inverse_products(win[i0:i0 + q], c)
         p[1 - i0 % 2::2] *= -1.0            # odd windows
         # weight i0 + i + k gets window i0 + i from column k: by descending
         # k, each weight sees its windows in ascending order
         for k in range(d, -1, -1):
-            w[i0 + k:i0 + k + len(blk)] += p[:, k]
+            w[i0 + k:i0 + k + len(p)] += p[:, k]
     return w
 
 
 def end_weight_tables(nodes: NodeSet, params: ExtParams):
-    """Coefficient tables for the end-correction sums.
+    """Leading rows of the end-correction coefficient tables.
 
-    Returns ``(lower, upper)``. ``lower[k]`` holds the coefficients for
-    extra lower-end interpolant ``i = d - e + k`` (through nodes
-    ``0 .. i``), indexed by node ``j`` in ``0 .. i``. ``upper[k]`` holds the
-    coefficients for extra upper-end interpolant ``i = n - d + 1 + k``
-    (through nodes ``i .. n``), indexed by node ``j - i``. Both tables are
-    empty when ``e = 0`` and carry the same common factor ``c**d`` as
+    Returns ``(lower, upper)``, one-row lists (both empty when ``e = 0``).
+    ``lower[0][j]``, ``j = 0 .. d-1``, is the coefficient of node ``j`` in
+    the extra lower-end interpolant ``i = d - 1``; ``upper[0][j - i]`` that
+    of node ``j`` in the extra upper-end interpolant ``i = n - d + 1``
+    (through nodes ``i .. n``). These are the only rows the Horner
+    recurrences read; the rows of the other ``e - 1`` interpolants at each
+    end are never formed. Both carry the same common factor ``c**d`` as
     :func:`fh_weights`.
     """
     params.validate(nodes)
-    d, e = params.d, params.e
-    n = nodes.n
-    xs = nodes.xs
-    lower = []
-    upper = []
-    if e == 0:
-        return lower, upper
+    d, n = params.d, nodes.n
+    if params.e == 0:
+        return [], []
     c = nodes.reference_spacing()
-    for i in range(d - e, d):
-        if nodes.is_equispaced:
-            # omega_{0,j,i} = h**(-i) * (-1)**(i-j) / (j! (i-j)!)
-            row = np.array([
-                (-1.0 if (i - j) % 2 else 1.0) * c ** (d - i)
-                / (factorial(j) * factorial(i - j))
-                for j in range(i + 1)
-            ])
-        else:
-            block = xs[:i + 1]
-            m = (block[:, None] - block[None, :]) / c
-            np.fill_diagonal(m, 1.0)
-            row = (1.0 / np.prod(m, axis=1)) * c ** (d - i)
-        lower.append(row)
-    for i in range(n - d + 1, n - d + e + 1):
-        if nodes.is_equispaced:
-            # omega_{i,j,n} = h**(-(n-i)) * (-1)**(n-j) / ((j-i)! (n-j)!)
-            row = np.array([
-                (-1.0 if (n - j) % 2 else 1.0) * c ** (d - (n - i))
-                / (factorial(j - i) * factorial(n - j))
-                for j in range(i, n + 1)
-            ])
-        else:
-            block = xs[i:]
-            m = (block[:, None] - block[None, :]) / c
-            np.fill_diagonal(m, 1.0)
-            row = (1.0 / np.prod(m, axis=1)) * c ** (d - (n - i))
-        upper.append(row)
-    return lower, upper
+    if nodes.is_equispaced:
+        # h**(1-d) (-1)**(d-1-j) / (j! (d-1-j)!) times c**d, at both ends
+        row = np.array([(-1.0 if (d - 1 - j) % 2 else 1.0) * c
+                        / (factorial(j) * factorial(d - 1 - j))
+                        for j in range(d)])
+        return [row], [row.copy()]
+    rows = _inverse_products(np.stack([nodes.xs[:d], nodes.xs[n - d + 1:]]), c)
+    rows *= c
+    return [rows[0]], [rows[1]]
 
 
 class PrecomputedWeights:
@@ -166,17 +155,21 @@ class PrecomputedWeights:
     ----------
     fh : ndarray
         Stored node weights.
+    lower_lead, upper_lead : ndarray or None
+        The end-table rows of :func:`end_weight_tables` (``None`` when
+        ``e = 0``).
     lower, upper : list of ndarray
-        End-correction coefficient tables from :func:`end_weight_tables`.
+        The same rows as one-row lists (empty when ``e = 0``), which the
+        benchmark's span tracer counts.
 
     Every stored family carries the same common factor. For general nodes
     the geometric mean of the weight magnitudes is divided out of all of
-    them, so that magnitudes stay O(1).
+    them. A build is refused when a stored weight is zero or not finite,
+    or when forming one overflows.
     """
 
     def __init__(self, nodes: NodeSet, params: ExtParams):
         params.validate(nodes)
-        self.d = params.d
         self.e = params.e
         try:
             fh = fh_weights(nodes, params.d)
@@ -194,12 +187,5 @@ class PrecomputedWeights:
             if not np.all(np.isfinite(arr) & (arr != 0.0)):
                 raise ValueError(_EXTREME)
             arr.flags.writeable = False
-        # Leading coefficients used by the Horner-form evaluators: for the
-        # lower end the table row i = d-1, for the upper end the row
-        # i = n-d+1.
-        if self.e > 0:
-            self.lower_lead = self.lower[-1]
-            self.upper_lead = self.upper[0]
-        else:
-            self.lower_lead = None
-            self.upper_lead = None
+        self.lower_lead = self.lower[0] if self.e else None
+        self.upper_lead = self.upper[0] if self.e else None

@@ -250,12 +250,6 @@ class TestScans:
         assert len(lines) == 1 + 9
         assert any(",NA,NA,NA," in ln for ln in lines[1:])
 
-    def test_scan_log10_accessors(self):
-        res = scan_de(RUNGE, 8, range(4), range(1), GridSpec(501))
-        assert res.log10_linf(3, 0) == pytest.approx(
-            np.log10(res.cell(3, 0).linf))
-        assert res.log10_lebesgue(3, 0) is not None
-
     def test_converge_rows_and_sentinels(self):
         rows = converge_n(RUNGE, [("fh", 3), ("ext", 14, 4), ("cheb",), ("spline",)],
                           [2, 10, 20], GridSpec(501))

@@ -4,7 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import baryblend
+from baryblend import Interpolant, NodeSet, get_function
 from baryblend.cli import main
 
 
@@ -12,6 +15,14 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process(argv):
+    """The CLI in a fresh interpreter, so that warnings reach its stderr."""
+    src = os.path.dirname(os.path.dirname(baryblend.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "baryblend.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestEval:
@@ -46,31 +57,40 @@ class TestEval:
         assert code == 0
         assert len(out.strip().split("\n")) == 12
 
-    def test_weight_overflow_exits_2(self, capsys):
-        # the end tables hold h**4 = (5e299)**4, which overflows a float
-        code, out, err = run_cli(
-            ["eval", "--fn", "poly:0,1", "--interval", "0", "2e300",
-             "--n", "4", "--d", "4", "--e", "4", "--at", "0.3"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "overflowed" in err
+    def test_huge_interval_evaluates(self):
+        # the end-table rows below the lead one would hold h**4 =
+        # (5e299)**4, which overflows; only the lead rows are formed (Runge
+        # at 2e300 also squares to inf, a sample of 0.0). The values equal
+        # those of the build on
+        # the interval scaled by 2**-996, with the samples scaled by k and
+        # the values scaled back: k = 1 for O(1) samples, else 2**-996.
+        s = 2.0 ** -996
+        with np.errstate(over="ignore"):
+            for fn, at, k in (("runge", 0.3, 1.0), ("poly:0,1", 1.7e300, s)):
+                out = cli_process(
+                    ["eval", "--fn", fn, "--interval", "0", "2e300", "--n",
+                     "4", "--d", "4", "--e", "4", "--at", repr(at)])
+                assert out.returncode == 0
+                assert out.stderr == ""
+                nodes = NodeSet.equispaced(0.0, 2e300, 4)
+                ys = get_function(fn)(nodes.xs)
+                scaled = Interpolant(
+                    NodeSet.equispaced(0.0, 2e300 * s, 4), ys * k, 4, 4)
+                assert out.stdout == f"x,r\n{at!r},{scaled(at * s) / k!r}\n"
+                x = np.linspace(0.0, 2e300, 2001)
+                r = Interpolant(nodes, ys, 4, 4)
+                assert np.array_equal(r(x), scaled(x * s) / k)
 
     def test_overflowing_samples_give_one_line(self):
-        # Runge at 2e300 squares to inf (a sample of 0.0, then weights that
-        # overflow); x**2 at 1e200 is an inf sample. numpy's overflow
-        # warning must not add two lines before the diagnostic.
-        src = os.path.dirname(os.path.dirname(baryblend.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        for fn, b in (("runge", "2e300"), ("poly:0,0,1", "1e200")):
-            out = subprocess.run(
-                [sys.executable, "-m", "baryblend.cli", "eval", "--fn", fn,
-                 "--interval", "0", b, "--n", "4", "--d", "4", "--e", "4",
-                 "--at", "0.3"],
-                env=env, capture_output=True, text=True, timeout=60)
-            assert out.returncode == 2
-            assert out.stdout == ""
-            assert out.stderr.count("\n") == 1
-            assert out.stderr.startswith("error: ")
+        # x**2 at 1e200 is an inf sample. numpy's overflow warning must
+        # not add two lines before the diagnostic.
+        out = cli_process(
+            ["eval", "--fn", "poly:0,0,1", "--interval", "0", "1e200",
+             "--n", "4", "--d", "4", "--e", "4", "--at", "0.3"])
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.count("\n") == 1
+        assert out.stderr.startswith("error: ")
 
     def test_weight_underflow_exits_2(self, capsys):
         # every binomial weight 2**300 / 300! or less rounds to zero, and

@@ -5,8 +5,8 @@ import pytest
 
 from baryblend import (ExtParams, Interpolant, NodeSet, PrecomputedWeights,
                        dump_interpolant, lebesgue_function,
-                       load_interpolant, zeta_eta)
-from baryblend.interpolant import _SWEEP_MIN, end_coefs, term_sums
+                       load_interpolant)
+from baryblend.interpolant import _SWEEP_MIN, end_coefs, term_sums, zeta_eta
 from baryblend.oracle import dense_values, fh_value
 
 from .conftest import (barycentric_product, log_perturbed_nodes,
@@ -35,31 +35,34 @@ def raw_zeta_eta(nodes, d, e, x):
 
 
 def zeta_eta_direct(weights, nodes, params, x):
-    """Same as :func:`zeta_eta` by direct summation of the defining sums
-    over the stored end tables: O(e) terms per node with explicit powers, an
-    independent check on the Horner recurrence."""
+    """Same as :func:`zeta_eta` by direct summation of the defining sums:
+    O(e) terms per node with explicit powers, an independent check on the
+    Horner recurrence. The rows of all ``e`` end interpolants enter; the
+    stored lead rows as they are, every other row as its raw products
+    times the stored common factor."""
     d, e = params.d, params.e
-    n = nodes.n
+    n, xs = nodes.n, nodes.xs
     zeta = np.zeros(d)
     eta = np.zeros(d)
     if e == 0:
         return zeta, eta
     if x == nodes.a or x == nodes.b:
         raise ValueError("evaluation at an endpoint: snap to the node instead")
+    factor = weights.lower_lead[0] / barycentric_product(xs, 0, 0, d - 1)
     for j in range(d):
         s = 0.0
-        for idx, i in enumerate(range(d - e, d)):
-            if i < j:
-                continue
-            term = weights.lower[idx][j] / (x - nodes.a) ** (d - i)
+        for i in range(max(j, d - e), d):
+            coef = (weights.lower_lead[j] if i == d - 1
+                    else barycentric_product(xs, 0, j, i) * factor)
+            term = coef / (x - nodes.a) ** (d - i)
             s += -term if (d - i) % 2 else term
         zeta[j] = s
     for j in range(n - d + 1, n + 1):
         s = 0.0
-        for idx, i in enumerate(range(n - d + 1, n - d + e + 1)):
-            if i > j:
-                continue
-            term = weights.upper[idx][j - i] / (x - nodes.b) ** (i - n + d)
+        for i in range(n - d + 1, min(j, n - d + e) + 1):
+            coef = (weights.upper_lead[j - i] if i == n - d + 1
+                    else barycentric_product(xs, i, j, n) * factor)
+            term = coef / (x - nodes.b) ** (i - n + d)
             s += -term if i % 2 else term
         eta[j - (n - d + 1)] = s
     return zeta, eta
@@ -80,8 +83,8 @@ class TestZetaEta:
         pw = PrecomputedWeights(nodes, params)
         z, h = zeta_eta(pw, nodes, params, x)
         zr, hr = raw_zeta_eta(nodes, 5, 3, x)
-        # the stored tables are the raw products up to one common factor
-        scale = barycentric_product(nodes.xs, 0, 0, 2) / pw.lower[0][0]
+        # the stored lead rows are the raw products up to one common factor
+        scale = barycentric_product(nodes.xs, 0, 0, 4) / pw.lower_lead[0]
         np.testing.assert_allclose(z * scale, zr, rtol=1e-13, atol=1e-305)
         np.testing.assert_allclose(h * scale, hr, rtol=1e-13, atol=1e-305)
 
@@ -147,6 +150,12 @@ class TestEval:
         xs = rng.uniform(-1.0, 5.0, 50)
         for x in xs:
             assert r.eval(float(x)).value == pytest.approx(2.5, rel=1e-14)
+
+    def test_non_integral_parameters_refused(self):
+        # int() alone would truncate (3.9, 1.2) to a (3, 1) interpolant
+        nodes = NodeSet.equispaced(0, 1, 6)
+        with pytest.raises(ValueError, match="integers"):
+            Interpolant(nodes, np.ones(7), 3.9, 1.2)
 
     def test_fh_path_requires_e_zero(self):
         nodes = NodeSet.equispaced(0, 1, 6)
@@ -473,6 +482,15 @@ class TestBasis:
         r = Interpolant.from_function(nodes, runge, d=3)
         with pytest.raises(IndexError):
             r.basis(9, 0.0)
+
+    def test_non_integral_index_refused(self):
+        # int() alone would truncate 1.5 to basis 1
+        nodes = NodeSet.equispaced(-1, 1, 8)
+        r = Interpolant.from_function(nodes, runge, d=3)
+        for j in (1.5, float("inf"), float("nan")):
+            with pytest.raises(IndexError):
+                r.basis(j, 0.3)
+        assert r.basis(1.0, 0.3) == r.basis(1, 0.3)
 
     def test_end_corrections_damp_end_oscillations(self):
         # max |basis| over a window at the left end: the corrected (8,4)

@@ -3,6 +3,7 @@ import pytest
 
 from baryblend import (ExtParams, Interpolant, NodeSet, blend_form_value,
                        blending_weights, denominator_sign_scan)
+from baryblend.oracle import denominator_sign_scans
 
 from .conftest import perturbed_nodes
 
@@ -46,7 +47,46 @@ class TestBlendForm:
             assert a == pytest.approx(b, rel=1e-10)
 
 
+def sequential_scan_value(nodes, d, e, x):
+    """The normalized denominator at one point ``x``, the same operations as
+    :func:`denominator_sign_scans`, with the terms ``i = -e .. n-d+e``
+    added one at a time in that order."""
+    z = np.concatenate([np.full(e, nodes.a), nodes.xs, np.full(e, nodes.b)])
+    diff = x - z
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(diff))
+    pre = np.concatenate([[0.0], np.cumsum(logs)])
+    suf = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
+    neg = diff < 0.0
+    npre = np.concatenate([[0], np.cumsum(neg)])
+    nsuf = np.concatenate([np.cumsum(neg[::-1])[::-1], [0]])
+    lead = np.arange(nodes.n - d + 2 * e + 1)
+    tail = lead + d + 1
+    L = pre[lead] + suf[tail]
+    sign = np.where((npre[lead] + z.size - tail - nsuf[tail]) % 2, -1.0, 1.0)
+    with np.errstate(invalid="ignore"):
+        mags = np.exp(L - L.max())
+    mags[np.isnan(mags)] = 0.0
+    s = norm = 0.0
+    for sg, mg in zip(sign * mags, mags):
+        s += sg
+        norm += mg
+    return s / norm
+
+
 class TestDenominatorSignScan:
+    def test_terms_added_in_order_of_i(self, rng):
+        # the reports do not depend on how numpy lays out or pairs the sums
+        for n in (8, 20):
+            nodes = perturbed_nodes(-1.0, 1.0, n, rng)
+            grid = np.linspace(-1.0, 1.0, 301)
+            for e in (0, 2, 4):
+                ds = range(e, min(12, n) + 1)
+                for d, rep in zip(ds, denominator_sign_scans(nodes, e, ds, grid)):
+                    vals = [sequential_scan_value(nodes, d, e, x) for x in grid]
+                    k = int(np.argmin(vals))
+                    assert (rep.min_value, rep.argmin_x) == (vals[k], grid[k])
+
     def test_positive_on_dense_grid(self):
         nodes = NodeSet.equispaced(-1, 1, 16)
         rep = denominator_sign_scan(nodes, ExtParams(8, 4),

@@ -3,8 +3,8 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from baryblend import (ExtParams, NodeSet, PrecomputedWeights,
-                       end_weight_tables, fh_weights)
+from baryblend import ExtParams, Interpolant, NodeSet, PrecomputedWeights
+from baryblend.weights import end_weight_tables, fh_weights
 
 from .conftest import (barycentric_product, log_perturbed_nodes,
                        perturbed_nodes)
@@ -49,6 +49,47 @@ def window_loop_fh(nodes, d):
             prod = -prod
         w[i:i + d + 1] += prod
     return w
+
+
+def full_end_weight_tables(nodes, params):
+    """All ``e`` rows of each end table, one row at a time, each from its
+    own products or factorial quotients: the bit-level reference for the
+    lead rows that the builds form, ``lower[-1]`` and ``upper[0]``."""
+    d, e = params.d, params.e
+    n = nodes.n
+    xs = nodes.xs
+    lower = []
+    upper = []
+    if e == 0:
+        return lower, upper
+    c = nodes.reference_spacing()
+    for i in range(d - e, d):
+        if nodes.is_equispaced:
+            row = np.array([
+                (-1.0 if (i - j) % 2 else 1.0) * c ** (d - i)
+                / (factorial(j) * factorial(i - j))
+                for j in range(i + 1)
+            ])
+        else:
+            block = xs[:i + 1]
+            m = (block[:, None] - block[None, :]) / c
+            np.fill_diagonal(m, 1.0)
+            row = (1.0 / np.prod(m, axis=1)) * c ** (d - i)
+        lower.append(row)
+    for i in range(n - d + 1, n - d + e + 1):
+        if nodes.is_equispaced:
+            row = np.array([
+                (-1.0 if (n - j) % 2 else 1.0) * c ** (d - (n - i))
+                / (factorial(j - i) * factorial(n - j))
+                for j in range(i, n + 1)
+            ])
+        else:
+            block = xs[i:]
+            m = (block[:, None] - block[None, :]) / c
+            np.fill_diagonal(m, 1.0)
+            row = (1.0 / np.prod(m, axis=1)) * c ** (d - (n - i))
+        upper.append(row)
+    return lower, upper
 
 
 def bit_cases():
@@ -159,6 +200,13 @@ class TestExtParams:
     def test_degenerate_d0_e0_allowed(self):
         ExtParams(0, 0).validate(NodeSet.equispaced(0, 1, 4))
 
+    @pytest.mark.parametrize("d,e", [(2.7, 1), (3, 1.2), (float("inf"), 0),
+                                     (float("nan"), 0), ("3", 1)])
+    def test_non_integral_refused(self, d, e):
+        # int() alone would truncate 2.7 to 2 and raise OverflowError for inf
+        with pytest.raises(ValueError, match="integers"):
+            ExtParams(d, e)
+
     def test_equal_params_hash_equal(self):
         assert ExtParams(3, 1) == ExtParams(3.0, 1)
         assert hash(ExtParams(3, 1)) == hash(ExtParams(3.0, 1))
@@ -186,35 +234,59 @@ class TestEndWeightTables:
             raw, [1.0 / (xs[0] - xs[1]), 1.0 / (xs[1] - xs[0])], rtol=1e-13)
 
     def test_rows_match_raw_products(self, rng):
+        # the lead rows: interpolants i = d - 1 and i = n - d + 1
         nodes = log_perturbed_nodes(-2.0, 2.0, 10, rng)
         xs = nodes.xs
         n, d, e = 10, 5, 3
-        params = ExtParams(d, e)
-        lower, upper = end_weight_tables(nodes, params)
+        lower, upper = end_weight_tables(nodes, ExtParams(d, e))
+        assert len(lower) == 1 and len(upper) == 1
         scale = unscale(nodes, d)
-        for k, i in enumerate(range(d - e, d)):
-            raw = lower[k] * scale
-            expected = [barycentric_product(xs, 0, j, i) for j in range(i + 1)]
-            np.testing.assert_allclose(raw, expected, rtol=1e-12)
-        for k, i in enumerate(range(n - d + 1, n - d + e + 1)):
-            raw = upper[k] * scale
-            expected = [barycentric_product(xs, i, j, n) for j in range(i, n + 1)]
-            np.testing.assert_allclose(raw, expected, rtol=1e-12)
+        expected = [barycentric_product(xs, 0, j, d - 1) for j in range(d)]
+        np.testing.assert_allclose(lower[0] * scale, expected, rtol=1e-12)
+        i = n - d + 1
+        expected = [barycentric_product(xs, i, j, n) for j in range(i, n + 1)]
+        np.testing.assert_allclose(upper[0] * scale, expected, rtol=1e-12)
 
     def test_mirror_symmetry_on_symmetric_nodes(self):
-        # reflecting a symmetric node set maps each upper product onto the
-        # matching lower product with sign (-1)**(n-i)
+        # reflecting a symmetric node set maps the upper lead products
+        # (i = n - d + 1) onto the lower lead ones (i = d - 1) with sign
+        # (-1)**(d - 1)
         xs = np.array([-3.0, -1.2, -0.3, 0.3, 1.2, 3.0])
         nodes = NodeSet(xs)
-        n, d, e = 5, 3, 2
+        d, e = 3, 2
         lower, upper = end_weight_tables(nodes, ExtParams(d, e))
-        for k in range(e):
-            i_up = n - d + 1 + k
-            i_lo_mirror = n - i_up          # row index for i = n - i_up
-            row_lo = lower[i_lo_mirror - (d - e)]
-            row_up = upper[k]
-            sign = (-1.0) ** (n - i_up)
-            np.testing.assert_allclose(row_up[::-1], sign * row_lo, rtol=1e-12)
+        sign = (-1.0) ** (d - 1)
+        np.testing.assert_allclose(upper[0][::-1], sign * lower[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["equispaced", "jittered", "log-perturbed"])
+    @pytest.mark.parametrize("n,d", [(n, d) for n, d in bit_cases() if d > 0])
+    def test_lead_rows_bits_match_full_tables(self, kind, n, d, rng):
+        if kind == "equispaced":
+            nodes = NodeSet.equispaced(-1.0, 3.0, n)
+        elif kind == "jittered":
+            nodes = perturbed_nodes(-1.0, 3.0, n, rng)
+        else:
+            nodes = log_perturbed_nodes(-1.0, 3.0, n, rng)
+        for e in sorted({1, d // 2, d} - {0}):
+            params = ExtParams(d, e)
+            try:
+                want_lo, want_up = full_end_weight_tables(nodes, params)
+            except OverflowError:
+                # j! (d-1-j)! past the double range: refused both ways
+                with pytest.raises(OverflowError):
+                    end_weight_tables(nodes, params)
+                continue
+            lower, upper = end_weight_tables(nodes, params)
+            assert np.array_equal(lower[0].view(np.int64),
+                                  want_lo[-1].view(np.int64))
+            assert np.array_equal(upper[0].view(np.int64),
+                                  want_up[0].view(np.int64))
+
+    @pytest.mark.parametrize("n,d", [(8, 4), (40, 14), (64, 20)])
+    def test_equispaced_lead_rows_equal(self, n, d):
+        lower, upper = end_weight_tables(NodeSet.equispaced(-1.0, 3.0, n),
+                                         ExtParams(d, 1))
+        assert np.array_equal(upper[0].view(np.int64), lower[0].view(np.int64))
 
     def test_equispaced_matches_general_path(self):
         # same nodes built both ways must give the same raw tables
@@ -239,8 +311,40 @@ class TestPrecomputedWeights:
 
     @pytest.mark.parametrize("a,n,params", [
         (500.0, 400, ExtParams(300, 0)),    # 2**300 / 300! underflows
-        (1e-200, 8, ExtParams(4, 4)),       # h**4 in the end tables does
     ])
     def test_underflowed_weights_refused(self, a, n, params):
         with pytest.raises(ValueError, match="underflowed"):
             PrecomputedWeights(NodeSet.equispaced(-a, a, n), params)
+
+    def test_non_finite_weights_refused(self):
+        # 31 nodes packed into 3e-19 of a unit interval: products of 30
+        # factors ~1e-17 underflow, and their inverses are infinite
+        nodes = NodeSet(np.append(np.arange(31) * 1e-20, 1.0))
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(fh_weights(nodes, 30)))
+            with pytest.raises(ValueError, match="overflowed") as info:
+                PrecomputedWeights(nodes, ExtParams(30, 1))
+        assert info.value.__context__ is None
+
+    def test_overflowing_lead_row_refused(self):
+        # every j! (299 - j)! >= 149! 150! ~ 2e523 is past the double range
+        with pytest.raises(ValueError, match="overflowed") as info:
+            PrecomputedWeights(NodeSet.equispaced(-500.0, 500.0, 400),
+                               ExtParams(300, 1))
+        assert isinstance(info.value.__context__, OverflowError)
+
+    @pytest.mark.parametrize("a,scale", [
+        (2.0 ** -660, 2.0 ** 660),
+        (1e-200, 2.0 ** 664),
+    ], ids=["2**-660", "1e-200"])
+    def test_builds_whose_unread_rows_left_the_range(self, a, scale, rng):
+        # the end-table rows below the lead one would hold h**4, which
+        # underflows; the lead rows, the only ones formed, hold h
+        ys = rng.uniform(-1.0, 1.0, 9)
+        r = Interpolant(NodeSet.equispaced(-a, a, 8), ys, 4, 4)
+        scaled = Interpolant(NodeSet.equispaced(-a * scale, a * scale, 8),
+                             ys, 4, 4)
+        x = np.linspace(-a, a, 1001)
+        want = scaled(x * scale)
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(r(x), want)
