@@ -18,7 +18,7 @@ import numpy as np
 
 from .interpolant import Interpolant, end_coefs, pointwise, term_sums
 from .interpolant import term_rows  # noqa: F401  (public as analysis.term_rows)
-from .nodes import NodeSet, validate_samples
+from .nodes import NodeSet, validate_samples, whole
 from .weights import ExtParams, PrecomputedWeights
 
 SENTINEL = "NA"
@@ -96,8 +96,10 @@ class GridSpec:
     per_subinterval: Optional[int] = None
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ValueError("grid count must be at least 2")
+        count = whole(self.count)
+        if count is None or count < 2:
+            raise ValueError("grid count must be an integer >= 2")
+        object.__setattr__(self, "count", count)
 
     def points(self, a, b, nodes: NodeSet | None = None):
         if self.per_subinterval is not None and nodes is not None:
@@ -115,34 +117,22 @@ class ErrorReport:
     """Sup and L1 error of an approximant against a reference function."""
     linf: float
     l1: float
-    grid: GridSpec
-    n: int
-    d: Optional[int]
-    e: Optional[int]
-    interval: tuple[float, float]
 
 
-def error_report(approx, f: ReferenceFunction, grid: GridSpec,
-                 n=None, d=None, e=None) -> ErrorReport:
-    """Measure ``approx`` against ``f`` on the grid.
+def error_report(approx, f: ReferenceFunction, grid: GridSpec) -> ErrorReport:
+    """Measure ``approx`` against ``f`` on the grid over ``f``'s interval.
 
     ``linf`` is the max of the pointwise error; ``l1`` integrates it with
     the composite trapezoid rule on the same grid. The trapezoid terms are
     rounded one element at a time and then summed correctly rounded
     (``math.fsum``), so ``l1`` has the same bits on every CPU, which
     numpy's SIMD pairwise sum does not promise. ``approx`` is any callable
-    accepting an array of points.
+    accepting an array of points; a node-relative grid uses its ``nodes``.
     """
-    a, b = f.interval
-    if isinstance(approx, Interpolant):
-        n = approx.nodes.n if n is None else n
-        d = approx.d if d is None else d
-        e = approx.e if e is None else e
-    pts = grid.points(a, b, getattr(approx, "nodes", None))
+    pts = grid.points(*f.interval, getattr(approx, "nodes", None))
     err = np.abs(np.asarray(approx(pts)) - f(pts))
     terms = np.diff(pts) * (err[1:] + err[:-1]) / 2.0
-    return ErrorReport(float(err.max()), math.fsum(terms.tolist()),
-                       grid, n if n is not None else -1, d, e, (a, b))
+    return ErrorReport(float(err.max()), math.fsum(terms.tolist()))
 
 
 # -- Lebesgue function and constant --------------------------------------
@@ -238,9 +228,9 @@ class ChebyshevBaseline:
     """
 
     def __init__(self, f: ReferenceFunction, n):
-        n = int(n)
-        if n < 1:
-            raise ValueError("chebyshev baseline needs n >= 1")
+        n = whole(n)
+        if n is None or n < 1:
+            raise ValueError("chebyshev baseline needs an integer n >= 1")
         a, b = f.interval
         k = np.arange(n + 1)
         pts = np.cos(k * np.pi / n)[::-1]          # ascending in [-1, 1]
@@ -360,8 +350,7 @@ class ScanResult:
 
 
 def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
-            noise: NoiseSpec | None = None,
-            lebesgue_grid: GridSpec | None = None) -> ScanResult:
+            noise: NoiseSpec | None = None) -> ScanResult:
     """Error and Lebesgue-constant sweep over a rectangle of (d, e).
 
     Cells with ``e > d`` or ``d > n`` are emitted as sentinels so the
@@ -377,7 +366,7 @@ def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
                 continue
             interp = Interpolant(nodes, ys, d, e)
             rep = error_report(interp, f, grid)
-            leb = lebesgue_constant(nodes, ExtParams(d, e), lebesgue_grid)
+            leb = lebesgue_constant(nodes, ExtParams(d, e))
             cells.append(ScanCell(d, e, rep.linf, rep.l1, leb.lambda_max))
     seed, sigma = (noise.seed, noise.sigma) if noise else (None, None)
     return ScanResult(nodes.n, f.interval, cells, seed, sigma)
@@ -399,17 +388,18 @@ def converge_n(f: ReferenceFunction, configs, n_list, grid: GridSpec,
 
     Configs are ``("fh", d)``, ``("ext", d, e)``, ``("cheb",)`` or
     ``("spline",)``. Invalid combinations (d > n, spline with n < 3) yield
-    sentinel rows.
+    sentinel rows; ``d`` and ``e`` are checked as :class:`ExtParams` does.
     """
     rows = []
     for cfg in configs:
         kind = cfg[0]
         if kind not in ("fh", "ext", "cheb", "spline"):
             raise ValueError(f"unknown config kind {kind!r}")
+        d = e = None
+        if kind in ("fh", "ext"):
+            d, e = astuple(ExtParams(cfg[1], cfg[2] if kind == "ext" else 0))
         for n in n_list:
             nodes, ys = equispaced_samples(f, n, noise)
-            d = int(cfg[1]) if kind in ("fh", "ext") else None
-            e = 0 if kind == "fh" else int(cfg[2]) if kind == "ext" else None
             if (d is not None and d > n) or (kind == "spline" and n < 3):
                 rows.append(ConvergeRow(_label(cfg), n, d, e, None, None))
                 continue
@@ -419,7 +409,7 @@ def converge_n(f: ReferenceFunction, configs, n_list, grid: GridSpec,
                 approx = CubicSplineBaseline(nodes, ys)
             else:
                 approx = Interpolant(nodes, ys, d, e)
-            rep = error_report(approx, f, grid, n=n, d=d, e=e)
+            rep = error_report(approx, f, grid)
             rows.append(ConvergeRow(_label(cfg), n, d, e, rep.linf, rep.l1))
     return rows
 

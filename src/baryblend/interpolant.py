@@ -19,8 +19,9 @@ the nodes in blocks, carrying the running sums of every point from one
 block to the next. A batch of ``m`` points under a fixed size takes about
 ``8192 / m`` nodes per block, so that it costs a fixed number of numpy
 calls per block, not per node; ``np.add.reduce`` over axis 0 adds the rows
-of a block in node order. A single point is a batch of one, whose lone
-column numpy would sum pairwise, so it reduces with the sequential
+of a block in node order. A single point snaps through
+:meth:`NodeSet.snap_index` and is a block with one column, which numpy
+would sum pairwise, so a block with one column reduces with the sequential
 ``np.add.accumulate`` instead. A larger batch takes one node per step and
 updates its running sums in place. Every path adds the terms strictly left
 to right in node order, starting from 0.0, so the scalar and vectorized
@@ -35,8 +36,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .nodes import NodeSet, validate_samples
-from .weights import ExtParams, PrecomputedWeights, whole
+from .nodes import NodeSet, validate_samples, whole
+from .weights import ExtParams, PrecomputedWeights
 
 _CHUNK = 4096
 # A batch of m points takes about _BLOCK // m nodes per step of the kernel,
@@ -137,7 +138,7 @@ def _reduce(block):
     # block[0] + block[1] + ... per column, one rounding per add, in row
     # order: np.add.reduce over axis 0 adds a C-contiguous block row by row,
     # but it sums a lone column pairwise, and np.add.accumulate never does
-    if block.ndim == 2:
+    if block.shape[1] != 1:
         return np.add.reduce(block, axis=0)
     return np.add.accumulate(block)[-1]
 
@@ -155,8 +156,8 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
     The nodes are taken ``h`` at a time. A batch of ``m < _SWEEP_MIN``
     points takes ``h = _BLOCK // m`` nodes per step: a few ufuncs form the
     ``(h, m)`` block of terms under a row holding the running sums, and
-    :func:`_reduce` adds its rows in node order. A single point is the
-    block with ``m = 1``. A larger batch, or a compensated one, takes one
+    :func:`_reduce` adds its rows in node order (a single point's block
+    too, with one column). A larger batch, or a compensated one, takes one
     node per step (``h = 1``) and updates its running sums in place.
     Either way each sum sees the same adds in the same order.
     """
@@ -180,22 +181,19 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
             _add(den, t, cd)
         return num, den
     h = min(_BLOCK // max(m, 1), size)
-    if m != 1:
-        pt, xv, xc, wc = (m,), x, xs[:, None], w[:, None]
-        yc = None if ys is None else ys[:, None]
-    else:                               # a single point has 1-D blocks
-        pt, xv, xc, wc, yc = (), x[0], xs, w, ys
+    xc, wc = xs[:, None], w[:, None]
+    yc = None if ys is None else ys[:, None]
     nl, lo = 0, size                    # end nodes: k < nl and k >= lo
     if ends is not None:
-        lower, upper = ends if m != 1 else (ends[0][:, 0], ends[1][:, 0])
+        lower, upper = ends
         nl, lo = len(lower), size - len(upper)
     # row 0 of each block carries the running sum over the earlier nodes
-    T, V = np.zeros((h + 1,) + pt), np.zeros((h + 1,) + pt)
-    diff = np.empty((h,) + pt)
+    T, V = np.zeros((h + 1, m)), np.zeros((h + 1, m))
+    diff = np.empty((h, m))
     for k0 in range(0, size, h):
         k1 = min(k0 + h, size)
         r = k1 - k0
-        dk = np.subtract(xv, xc[k0:k1], out=diff[:r])
+        dk = np.subtract(x, xc[k0:k1], out=diff[:r])
         t = np.divide(wc[k0:k1], dk, out=T[1:r + 1])
         if k0 < nl:
             s = min(k1, nl) - k0
@@ -213,7 +211,19 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
         elif k0 <= col < k1:
             V[0] = t[col - k0]
         T[0] = _reduce(T[:r + 1])
-    return V[0].reshape(m), T[0].reshape(m)
+    return V[0], T[0]
+
+
+def _point(nodes: NodeSet, x, at_nodes, off_nodes):
+    """Evaluate at one scalar ``x``: ``(at_nodes[j], j)`` when ``x`` snaps
+    to node ``j``, else ``(off_nodes(x as a one-point block), None)``."""
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError("non-finite input")
+    j = nodes.snap_index(x)
+    if j is not None:
+        return float(at_nodes[j]), j
+    return float(off_nodes(np.array([x]))[0]), None
 
 
 def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
@@ -221,9 +231,11 @@ def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
 
     A point that snaps to node ``j`` gets ``at_nodes[j]``; the other points
     of a chunk get ``off_nodes(points)``. Returns a float for scalar ``x``,
-    else an array shaped like ``x``.
+    which :func:`_point` evaluates, else an array shaped like ``x``.
     """
     xv = np.asarray(x, dtype=float)
+    if xv.ndim == 0:
+        return _point(nodes, xv, at_nodes, off_nodes)[0]
     flat = xv.ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError("non-finite input")
@@ -236,7 +248,7 @@ def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
         if off.any():
             res[off] = off_nodes(block[off])
         out[s:s + block.size] = res
-    return float(out[0]) if xv.ndim == 0 else out.reshape(xv.shape)
+    return out.reshape(xv.shape)
 
 
 class Interpolant:
@@ -298,13 +310,7 @@ class Interpolant:
         Snaps to the nearest node within the rounding tolerance; otherwise
         computes the barycentric-like ratio in O(n + d*e) arithmetic.
         """
-        x = float(x)
-        if not np.isfinite(x):
-            raise ValueError("non-finite input")
-        j = self.nodes.snap_index(x)
-        if j is not None:
-            return EvalOutcome(float(self.ys[j]), j)
-        return EvalOutcome(float(self._values(np.array([x]))[0]), None)
+        return EvalOutcome(*_point(self.nodes, x, self.ys, self._values))
 
     # -- vectorized paths -------------------------------------------------
 
@@ -395,6 +401,9 @@ def load_interpolant(text: str) -> Interpolant:
     head = 5 if len(vals) > 3 and vals[3].startswith("spacing=") else 3
     if len(vals) != head + 2 * count:
         raise ValueError("truncated interpolant record")
+    flag = vals[4] if head == 5 else "compensated=0"
+    if flag not in ("compensated=0", "compensated=1"):
+        raise ValueError(f"bad compensation flag {flag!r}")
     xs = np.array([float(v) for v in vals[head:head + count]])
     ys = np.array([float(v) for v in vals[head + count:]])
     nodes = NodeSet(xs)
@@ -402,5 +411,4 @@ def load_interpolant(text: str) -> Interpolant:
         nodes = NodeSet.equispaced(xs[0], xs[-1], count - 1)
         if nodes.spacing != float(vals[3][8:]) or not np.array_equal(nodes.xs, xs):
             raise ValueError("record spacing does not match its nodes")
-    return Interpolant(nodes, ys, d, e,
-                       compensated=head == 5 and vals[4] == "compensated=1")
+    return Interpolant(nodes, ys, d, e, compensated=flag == "compensated=1")

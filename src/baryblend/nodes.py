@@ -7,6 +7,14 @@ import numpy as np
 _EPS = float(np.finfo(float).eps)
 
 
+def whole(v):
+    """``v`` as an int if it is integral (``3`` or ``3.0``), else ``None``."""
+    try:
+        return int(v) if int(v) == v else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 class NodeSet:
     """Strictly increasing, finite abscissae spanning an interval [a, b].
 
@@ -55,9 +63,9 @@ class NodeSet:
         """
         a = float(a)
         b = float(b)
-        n = int(n)
-        if n < 1:
-            raise ValueError("invalid interval: n must be at least 1")
+        n = whole(n)
+        if n is None or n < 1:
+            raise ValueError("invalid interval: n must be an integer >= 1")
         if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
             raise ValueError("invalid interval: need finite a < b")
         h = (b - a) / n

@@ -47,34 +47,35 @@ def _chi(xs, i, j, x):
     return p
 
 
+def _blend_functions(nodes: NodeSet, params: ExtParams, x):
+    """Yield ``(phi, i, j)`` per local interpolant, through nodes
+    ``i .. j``, with ``phi`` its blending function at the off-node float
+    ``x``: lower-end extras, interior, upper-end extras, in that order."""
+    params.validate(nodes)
+    xs, n = nodes.xs, nodes.n
+    d, e = params.d, params.e
+    if np.any(x == xs):
+        raise ValueError("blend form is singular at a node")
+    for i in range(d - e, d):
+        s = -1.0 if (d - i) % 2 else 1.0
+        yield s / (x - xs[0]) ** (d - i) * _chi(xs, 0, i, x), 0, i
+    for i in range(n - d + 1):
+        yield _chi(xs, i, i + d, x), i, i + d
+    for i in range(n - d + 1, n - d + e + 1):
+        yield _chi(xs, i, n, x) / (x - xs[n]) ** (i - n + d), i, n
+
+
 def blend_form_value(nodes: NodeSet, ys, params: ExtParams, x):
     """Interpolant value at a scalar off-node ``x``, from the blend form.
 
     Raises when ``x`` coincides with a node (the blending weights are
     singular there).
     """
-    params.validate(nodes)
-    xs = nodes.xs
-    ys = np.asarray(ys, dtype=float)
-    n = nodes.n
-    d, e = params.d, params.e
-    x = float(x)
-    if np.any(x == xs):
-        raise ValueError("blend form is singular at a node")
+    xs, ys, x = nodes.xs, np.asarray(ys, dtype=float), float(x)
     num = den = 0.0
-    for i in range(d - e, d):
-        s = -1.0 if (d - i) % 2 else 1.0
-        phi = s / (x - xs[0]) ** (d - i) * _chi(xs, 0, i, x)
-        num += phi * _lagrange(xs, ys, 0, i, x)
+    for phi, i, j in _blend_functions(nodes, params, x):
+        num += phi * _lagrange(xs, ys, i, j, x)
         den += phi
-    for i in range(n - d + 1):
-        c = _chi(xs, i, i + d, x)
-        num += c * _lagrange(xs, ys, i, i + d, x)
-        den += c
-    for i in range(n - d + 1, n - d + e + 1):
-        psi = _chi(xs, i, n, x) / (x - xs[n]) ** (i - n + d)
-        num += psi * _lagrange(xs, ys, i, n, x)
-        den += psi
     return num / den
 
 
@@ -84,22 +85,8 @@ def blending_weights(nodes: NodeSet, params: ExtParams, x):
     One weight per local interpolant (lower-end extras, interior, upper-end
     extras, in that order); they sum to one.
     """
-    params.validate(nodes)
-    xs = nodes.xs
-    n = nodes.n
-    d, e = params.d, params.e
-    x = float(x)
-    if np.any(x == xs):
-        raise ValueError("blend form is singular at a node")
-    vals = []
-    for i in range(d - e, d):
-        s = -1.0 if (d - i) % 2 else 1.0
-        vals.append(s / (x - xs[0]) ** (d - i) * _chi(xs, 0, i, x))
-    for i in range(n - d + 1):
-        vals.append(_chi(xs, i, i + d, x))
-    for i in range(n - d + 1, n - d + e + 1):
-        vals.append(_chi(xs, i, n, x) / (x - xs[n]) ** (i - n + d))
-    vals = np.array(vals)
+    vals = np.array([phi for phi, _, _ in
+                     _blend_functions(nodes, params, float(x))])
     return vals / vals.sum()
 
 

@@ -17,19 +17,11 @@ from math import comb, factorial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .nodes import NodeSet
+from .nodes import NodeSet, whole
 
 _EXTREME = "weight computation overflowed or underflowed; nodes too extreme"
 # Doubles in one chunk of window factors of a general-node weight build.
 _BLOCK = 2 ** 13
-
-
-def whole(v):
-    """``v`` as an int if it is integral (``3`` or ``3.0``), else ``None``."""
-    try:
-        return int(v) if int(v) == v else None
-    except (TypeError, ValueError, OverflowError):
-        return None
 
 
 @dataclass(frozen=True)
@@ -91,10 +83,12 @@ def fh_weights(nodes: NodeSet, d):
     O(d) numpy calls per chunk of about ``_BLOCK // (d + 1)`` windows, so
     that no temporary grows with ``n``; each weight receives the products
     of its windows in ascending order.
+
+    A product that overflows drops its term (``1/inf`` is 0). Such a build
+    is refused with ``ValueError`` unless every dropped term is provably
+    below the rounding of its weight.
     """
-    if not 0 <= int(d) <= nodes.n:
-        raise ValueError("d must satisfy 0 <= d <= n")
-    d = int(d)
+    d = ExtParams(d).validate(nodes).d
     n = nodes.n
     if nodes.is_equispaced:
         # pre[t] = comb(d, 0) + ... + comb(d, t - 1); node j sums the
@@ -110,13 +104,26 @@ def fh_weights(nodes: NodeSet, d):
     w = np.zeros(n + 1)
     win = sliding_window_view(nodes.xs, d + 1)   # win[i] = x_i .. x_{i+d}
     q = max(1, _BLOCK // (d + 1))
+    lost = []                               # weights that dropped a term
     for i0 in range(0, n - d + 1, q):
         p = _inverse_products(win[i0:i0 + q], c)
+        if not p.all():                     # 1/inf: a product overflowed
+            rows, cols = np.nonzero(p == 0.0)
+            lost.append(i0 + rows + cols)
         p[1 - i0 % 2::2] *= -1.0            # odd windows
         # weight i0 + i + k gets window i0 + i from column k: by descending
         # k, each weight sees its windows in ascending order
         for k in range(d, -1, -1):
             w[i0 + k:i0 + k + len(p)] += p[:, k]
+    if lost:
+        # A product that passed 2**1024 ends at least 2**1024 * m**d, with
+        # m <= 1 the least factor that can follow, so a dropped term is
+        # below 2**-1024 / m**d. A weight's terms share one sign; it may
+        # lose d + 1 of them only within its rounding, 2**-53 of its size.
+        m = min(1.0, float(np.diff(nodes.xs).min()) / c)
+        size = np.abs(w[np.concatenate(lost)]) * 2.0 ** -53
+        if np.any(size * m ** d < (d + 1) * 2.0 ** -1024):
+            raise ValueError(_EXTREME)
     return w
 
 
@@ -171,17 +178,19 @@ class PrecomputedWeights:
     def __init__(self, nodes: NodeSet, params: ExtParams):
         params.validate(nodes)
         self.e = params.e
-        try:
-            fh = fh_weights(nodes, params.d)
-            lower, upper = end_weight_tables(nodes, params)
-        except OverflowError:
-            raise ValueError(_EXTREME) from None
-        g = 1.0
-        if not nodes.is_equispaced:
-            g = float(np.exp(np.mean(np.log(np.abs(fh)))))
-        self.fh = fh / g
-        self.lower = [row / g for row in lower]
-        self.upper = [row / g for row in upper]
+        # out-of-range values are refused below, not reported as warnings
+        with np.errstate(all="ignore"):
+            try:
+                fh = fh_weights(nodes, params.d)
+                lower, upper = end_weight_tables(nodes, params)
+            except OverflowError:
+                raise ValueError(_EXTREME) from None
+            g = 1.0
+            if not nodes.is_equispaced:
+                g = float(np.exp(np.mean(np.log(np.abs(fh)))))
+            self.fh = fh / g
+            self.lower = [row / g for row in lower]
+            self.upper = [row / g for row in upper]
         for arr in [self.fh, *self.lower, *self.upper]:
             # no weight is zero in exact arithmetic: a zero one underflowed
             if not np.all(np.isfinite(arr) & (arr != 0.0)):

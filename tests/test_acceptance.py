@@ -298,7 +298,7 @@ def test_criterion_7_convergence_shapes(tmp_path):
     # chebyshev baseline: geometric decay before the precision floor
     ns = [20, 40, 60, 80, 100, 120, 140, 160]
     errs = np.array([error_report(ChebyshevBaseline(RUNGE, n), RUNGE,
-                                  grid, n=n).linf for n in ns])
+                                  grid).linf for n in ns])
     keep = errs > 1e-12
     r2, slope = _log_linear_r2(np.array(ns)[keep], errs[keep])
     ok_cheb = r2 > 0.99 and slope < 0
@@ -309,7 +309,7 @@ def test_criterion_7_convergence_shapes(tmp_path):
     for n in ns_sp:
         nd = NodeSet.equispaced(-5, 5, n)
         errs_sp.append(error_report(CubicSplineBaseline(nd, RUNGE(nd.xs)),
-                                    RUNGE, grid, n=n).linf)
+                                    RUNGE, grid).linf)
     sp_slope = np.polyfit(np.log10(ns_sp), np.log10(errs_sp), 1)[0]
     ok_spline = abs(sp_slope + 4.0) <= 0.5
 

@@ -55,6 +55,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1)
 
+    def test_non_integral_count_refused(self):
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(2.5)
+        assert GridSpec(3.0).points(0, 1).size == 3
+
 
 class TestLebesgue:
     def test_one_at_nodes(self):
@@ -186,7 +191,7 @@ class TestBaselines:
         for n in (20, 40, 80, 160, 320):
             nodes = NodeSet.equispaced(-5, 5, n)
             sp = CubicSplineBaseline(nodes, RUNGE(nodes.xs))
-            errs[n] = error_report(sp, RUNGE, GridSpec(20001), n=n).linf
+            errs[n] = error_report(sp, RUNGE, GridSpec(20001)).linf
         slope = np.polyfit(np.log10(list(errs)), np.log10(list(errs.values())), 1)[0]
         assert slope == pytest.approx(-4.0, abs=0.5)
 
@@ -198,6 +203,11 @@ class TestBaselines:
     def test_chebyshev_needs_positive_n(self):
         with pytest.raises(ValueError, match="n >= 1"):
             ChebyshevBaseline(RUNGE, 0)
+
+    def test_chebyshev_non_integral_n_refused(self):
+        # int() alone would build n = 2 from 2.7
+        with pytest.raises(ValueError, match="integer"):
+            ChebyshevBaseline(RUNGE, 2.7)
 
 
 class TestNoise:
@@ -258,6 +268,13 @@ class TestScans:
         assert by[("ext:14,4", 20)].linf is not None
         assert by[("spline", 2)].linf is None        # too few nodes
         assert by[("fh", 3) if ("fh", 3) in by else ("fh:3", 10)].linf is not None
+
+    @pytest.mark.parametrize("cfg", [("fh", 2.7), ("ext", 4.5, 1.9)])
+    def test_converge_non_integral_config_refused(self, cfg):
+        # int() alone would label the rows fh:2.7 or ext:4.5,1.9 and
+        # compute them at (2, 0) or (4, 1)
+        with pytest.raises(ValueError, match="integers"):
+            converge_n(RUNGE, [cfg], [8], GridSpec(501))
 
     def test_converge_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown config"):

@@ -456,6 +456,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="spacing"):
             load_interpolant(text)
 
+    def test_unknown_compensation_flag_rejected(self, rng):
+        r = Interpolant(NodeSet.equispaced(-1.0, 1.0, 8),
+                        rng.standard_normal(9), 4, 2)
+        text = dump_interpolant(r).replace("compensated=0", "compensated=2")
+        with pytest.raises(ValueError, match="compensation"):
+            load_interpolant(text)
+
     def test_truncated_record_rejected(self):
         with pytest.raises(ValueError, match="truncated"):
             load_interpolant("3\n1\n0\n1.0\n2.0\n")

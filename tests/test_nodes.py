@@ -34,6 +34,12 @@ class TestEquispaced:
         with pytest.raises(ValueError):
             NodeSet.equispaced(a, b, n)
 
+    def test_non_integral_count_refused(self):
+        # int() alone would build n = 2 from 2.7
+        with pytest.raises(ValueError, match="integer"):
+            NodeSet.equispaced(-1, 1, 2.7)
+        assert NodeSet.equispaced(-1, 1, 3.0).n == 3
+
 
 class TestNodeSetValidation:
     def test_rejects_nonincreasing(self):

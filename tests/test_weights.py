@@ -1,5 +1,7 @@
 from math import comb, factorial
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,13 @@ class TestFhWeights:
             fh_weights(nodes, 5)
         with pytest.raises(ValueError, match="0 <= d <= n"):
             fh_weights(nodes, -1)
+
+    def test_non_integral_degree_refused(self, rng):
+        # int() alone would return the d = 2 weights for 2.7
+        nodes = perturbed_nodes(-1.0, 1.0, 8, rng)
+        with pytest.raises(ValueError, match="integers"):
+            fh_weights(nodes, 2.7)
+        assert np.array_equal(fh_weights(nodes, 3.0), fh_weights(nodes, 3))
 
     @pytest.mark.parametrize("kind", ["jittered", "log-perturbed"])
     @pytest.mark.parametrize("n,d", list(bit_cases()))
@@ -322,9 +331,22 @@ class TestPrecomputedWeights:
         nodes = NodeSet(np.append(np.arange(31) * 1e-20, 1.0))
         with np.errstate(all="ignore"):
             assert not np.all(np.isfinite(fh_weights(nodes, 30)))
-            with pytest.raises(ValueError, match="overflowed") as info:
-                PrecomputedWeights(nodes, ExtParams(30, 1))
+        with pytest.raises(ValueError, match="overflowed") as info:
+            PrecomputedWeights(nodes, ExtParams(30, 1))
         assert info.value.__context__ is None
+
+    def test_refusals_write_no_warning(self):
+        # general nodes, n = 200, d = 170: four window products pass the
+        # double range, their terms drop out (1/inf is 0), and node 1's
+        # weight would be 0.54% off; 31 nodes in 3e-19: products underflow
+        nodes = log_perturbed_nodes(-5.0, 5.0, 200, np.random.default_rng(1))
+        packed = NodeSet(np.append(np.arange(31) * 1e-20, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflowed"):
+                Interpolant(nodes, 1.0 / (1.0 + nodes.xs ** 2), 170, 4)
+            with pytest.raises(ValueError, match="overflowed"):
+                PrecomputedWeights(packed, ExtParams(30, 1))
 
     def test_overflowing_lead_row_refused(self):
         # every j! (299 - j)! >= 149! 150! ~ 2e523 is past the double range
