@@ -90,7 +90,7 @@ class GridSpec:
 
     ``per_subinterval``, when set, switches to a node-relative grid with
     that many uniform points per node gap (used by the Lebesgue-constant
-    search).
+    search). Both must be integral (``3.0`` counts as ``3``).
     """
     count: int = 100_001
     per_subinterval: Optional[int] = None
@@ -100,13 +100,27 @@ class GridSpec:
         if count is None or count < 2:
             raise ValueError("grid count must be an integer >= 2")
         object.__setattr__(self, "count", count)
+        if self.per_subinterval is not None:
+            k = whole(self.per_subinterval)
+            if k is None or k < 1:
+                raise ValueError("per_subinterval must be an integer >= 1")
+            object.__setattr__(self, "per_subinterval", k)
 
     def points(self, a, b, nodes: NodeSet | None = None):
         if self.per_subinterval is not None and nodes is not None:
-            segs = [np.linspace(nodes.xs[i], nodes.xs[i + 1],
-                                self.per_subinterval + 1)[:-1]
-                    for i in range(nodes.n)]
-            return np.concatenate(segs + [np.array([nodes.b])])
+            # np.linspace(x_i, x_{i+1}, k + 1)[:-1] for every gap at once,
+            # with its arithmetic per row: i * (gap / k) + x_i, or
+            # i / k * gap + x_i for a row whose step underflows to 0
+            k, xs = self.per_subinterval, nodes.xs
+            gap = xs[1:] - xs[:-1]
+            step = gap / k
+            i = np.arange(k, dtype=float)
+            grid = step[:, None] * i
+            flat = step == 0.0
+            if flat.any():
+                grid[flat] = gap[flat, None] * (i / k)
+            grid += xs[:-1, None]
+            return np.append(grid.ravel(), nodes.b)
         return np.linspace(a, b, self.count)
 
 

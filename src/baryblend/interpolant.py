@@ -22,8 +22,9 @@ calls per block, not per node; ``np.add.reduce`` over axis 0 adds the rows
 of a block in node order. A single point snaps through
 :meth:`NodeSet.snap_index` and is a block with one column, which numpy
 would sum pairwise, so a block with one column reduces with the sequential
-``np.add.accumulate`` instead. A larger batch takes one node per step and
-updates its running sums in place. Every path adds the terms strictly left
+``np.add.accumulate`` instead; its ``2d`` end coefficients are formed on
+Python floats, in the order a batch forms them with numpy. A larger batch
+takes one node per step and updates its running sums in place. Every path adds the terms strictly left
 to right in node order, starting from 0.0, so the scalar and vectorized
 paths produce bit-identical results. Optional two-term (Kahan)
 compensation is available behind a flag; a compensated batch of any size
@@ -110,9 +111,16 @@ def end_coefs(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x)
     ``j``, ``upper[i]`` for node ``n-d+1+i``. A node in both blocks has the
     same value in each, its lower correction added first. ``None`` when
     ``e = 0``, where every coefficient is the constant ``fh[j]``.
+
+    A batch runs the Horner recurrences in :func:`zeta_eta`. A single point
+    takes the same steps in the same order on lists of Python floats, whose
+    ``+ - * /`` round as numpy's do, so it gets the bits it gets in any
+    batch, without numpy's fixed cost per call on ``d``-element arrays.
     """
     if params.e == 0:
         return None
+    if x.size == 1:
+        return _point_end_coefs(weights, nodes, params, float(x[0]))
     d, fh = params.d, weights.fh
     lower, upper = zeta_eta(weights, nodes, params, x)
     both = max(2 * d - nodes.n - 1, 0)      # nodes in both end blocks
@@ -121,6 +129,39 @@ def end_coefs(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x)
     upper[both:] += fh[nodes.n + 1 - d + both:, None]
     lower[d - both:] = upper[:both]
     return lower, upper
+
+
+def _point_end_coefs(weights: PrecomputedWeights, nodes: NodeSet,
+                     params: ExtParams, x):
+    # end_coefs at one float x, shaped (d, 1): zeta_eta's steps on lists
+    d, e, n = params.d, params.e, nodes.n
+    if x == nodes.a or x == nodes.b:
+        raise ValueError("evaluation at an endpoint: snap to the node instead")
+    lo = n - d + 1
+    xl, xu = nodes.xs[:d].tolist(), nodes.xs[lo:].tolist()
+    w0 = 1.0 / (x - nodes.a)
+    zeta = [1.0] * d
+    for k in range(d - e + 1, d):
+        xk = xl[k]
+        zeta[:k] = [1.0 - a * ((xj - xk) * w0) for a, xj in zip(zeta, xl[:k])]
+    vn = 1.0 / (x - nodes.b)
+    eta = [1.0] * d
+    for k in range(e - 2, -1, -1):      # zeta_eta's step lo + k
+        xk = xu[k]
+        eta[k + 1:] = [1.0 - a * ((xj - xk) * vn)
+                       for a, xj in zip(eta[k + 1:], xu[k + 1:])]
+    sign = -1.0 if lo % 2 else 1.0
+    fh = weights.fh
+    lower = [z * (-lead * w0) + f for z, lead, f in
+             zip(zeta, weights.lower_lead.tolist(), fh[:d].tolist())]
+    # a node in both blocks adds its upper correction to its lower value
+    both = max(2 * d - n - 1, 0)
+    rest = lower[d - both:] + fh[lo + both:].tolist()
+    upper = [h * ((sign * lead) * vn) + f for h, lead, f in
+             zip(eta, weights.upper_lead.tolist(), rest)]
+    lower[d - both:] = upper[:both]
+    ends = np.array((lower, upper))[:, :, None]
+    return ends[0], ends[1]
 
 
 def _add(total, v, comp=None):

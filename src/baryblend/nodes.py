@@ -114,8 +114,8 @@ class NodeSet:
         x = np.asarray(x, dtype=float)
         xs = self.xs
         i = np.searchsorted(xs, x)
-        lo = np.clip(i - 1, 0, self.n)
-        hi = np.clip(i, 0, self.n)
+        lo = np.maximum(i - 1, 0)
+        hi = np.minimum(i, self.n)
         nearest = np.where(np.abs(x - xs[lo]) <= np.abs(x - xs[hi]), lo, hi)
         h = self.reference_spacing()
         tol = 4.0 * _EPS * np.maximum(np.abs(xs[nearest]), h)

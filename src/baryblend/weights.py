@@ -15,7 +15,6 @@ from itertools import accumulate
 from math import comb, factorial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .nodes import NodeSet, whole
 
@@ -55,17 +54,28 @@ class ExtParams:
         return self
 
 
-def _inverse_products(win, c):
-    """``1 / prod_{l != j} ((x_j - x_l) / c)`` for node ``j`` of each row
-    of ``win``, the factors multiplied from the left as ``np.prod`` does."""
-    f = np.empty_like(win)
-    p = np.ones_like(win)
-    for l in range(win.shape[1]):
-        np.subtract(win, win[:, l:l + 1], out=f)
-        f /= c
-        f[:, l] = 1.0
-        p *= f
-    return np.divide(1.0, p, out=p)
+def _window_products(xs, i0, r, d, c):
+    """``p[s, i] = prod_{l != s} (x_{i0+i+s} - x_{i0+i+l}) / c`` for the
+    ``r`` windows from ``i0``, multiplied from the left in ascending ``l``.
+    Each factor is read from a table ``g(t, k) = (x_{k+t} - x_k) / c``
+    (factor ``l`` of window ``i`` at node ``s`` is ``g(s - l, i0 + i + l)``,
+    the same operands), which forms each difference once, not once per
+    window; one pass tabulates the factors ``l0 .. l1 - 1``, so that no
+    pass holds more than a few times ``_BLOCK`` doubles.
+    """
+    p = np.ones((d + 1, r))
+    step = max(1, _BLOCK // (d + 1))
+    for l0 in range(0, d + 1, step):
+        l1 = min(l0 + step, d + 1)
+        # g[u, v] = g(u + 1 - l1, i0 + l0 + v); clipped entries go unread
+        k = np.arange(i0 + l0, i0 + l1 + r - 1)
+        g = xs.take(k + np.arange(1 - l1, d + 1 - l0)[:, None], mode="clip")
+        g -= xs[k]
+        g /= c
+        g[l1 - 1] = 1.0
+        for l in range(l0, l1):
+            p *= g[l1 - 1 - l:l1 + d - l, l - l0:l - l0 + r]
+    return p
 
 
 def fh_weights(nodes: NodeSet, d):
@@ -79,8 +89,10 @@ def fh_weights(nodes: NodeSet, d):
 
     Cost: on an equispaced lattice, one array fill, plus exact integer
     prefix sums of ``comb(d, k)`` for the ``2d`` end weights (the interior
-    ones are all ``2**d``). For general nodes, O(n * d**2) arithmetic in
-    O(d) numpy calls per chunk of about ``_BLOCK // (d + 1)`` windows, so
+    ones are all ``2**d``). For general nodes, each chunk of about
+    ``_BLOCK // (d + 1)`` windows forms its O(chunk * d) node differences
+    once, in one table, and then multiplies the ``d + 1`` factors of all
+    its windows in ``d + 1`` numpy calls (:func:`_window_products`), so
     that no temporary grows with ``n``; each weight receives the products
     of its windows in ascending order.
 
@@ -102,19 +114,20 @@ def fh_weights(nodes: NodeSet, d):
         return w
     c = nodes.reference_spacing()
     w = np.zeros(n + 1)
-    win = sliding_window_view(nodes.xs, d + 1)   # win[i] = x_i .. x_{i+d}
     q = max(1, _BLOCK // (d + 1))
     lost = []                               # weights that dropped a term
     for i0 in range(0, n - d + 1, q):
-        p = _inverse_products(win[i0:i0 + q], c)
+        r = min(q, n - d + 1 - i0)
+        p = _window_products(nodes.xs, i0, r, d, c)
+        np.divide(1.0, p, out=p)
         if not p.all():                     # 1/inf: a product overflowed
-            rows, cols = np.nonzero(p == 0.0)
-            lost.append(i0 + rows + cols)
-        p[1 - i0 % 2::2] *= -1.0            # odd windows
-        # weight i0 + i + k gets window i0 + i from column k: by descending
+            s, i = np.nonzero(p == 0.0)
+            lost.append(i0 + i + s)
+        p[:, 1 - i0 % 2::2] *= -1.0         # odd windows
+        # weight i0 + i + k gets window i0 + i from row k: by descending
         # k, each weight sees its windows in ascending order
         for k in range(d, -1, -1):
-            w[i0 + k:i0 + k + len(p)] += p[:, k]
+            w[i0 + k:i0 + k + r] += p[k]
     if lost:
         # A product that passed 2**1024 ends at least 2**1024 * m**d, with
         # m <= 1 the least factor that can follow, so a dropped term is
@@ -138,6 +151,11 @@ def end_weight_tables(nodes: NodeSet, params: ExtParams):
     recurrences read; the rows of the other ``e - 1`` interpolants at each
     end are never formed. Both carry the same common factor ``c**d`` as
     :func:`fh_weights`.
+
+    Cost: on an equispaced lattice, ``d`` factorial quotients, formed once
+    for both ends. For general nodes, a fixed number of numpy calls on one
+    ``(2, d, d)`` block of factors, the two windows side by side (in
+    slices of rows when ``2 * d * d`` exceeds ``_BLOCK``).
     """
     params.validate(nodes)
     d, n = params.d, nodes.n
@@ -150,8 +168,18 @@ def end_weight_tables(nodes: NodeSet, params: ExtParams):
                         / (factorial(j) * factorial(d - 1 - j))
                         for j in range(d)])
         return [row], [row.copy()]
-    rows = _inverse_products(np.stack([nodes.xs[:d], nodes.xs[n - d + 1:]]), c)
-    rows *= c
+    # f[:, s, l] = (x_s - x_l) / c in the two windows, 1 at l = s; the
+    # sequential np.multiply.accumulate multiplies each row from the left
+    win = np.stack([nodes.xs[:d], nodes.xs[n - d + 1:]])
+    rows = np.empty((2, d))
+    step = max(1, _BLOCK // (2 * d))
+    for s0 in range(0, d, step):
+        s1 = min(s0 + step, d)
+        f = win[:, s0:s1, None] - win[:, None, :]
+        f /= c
+        f.reshape(2, -1)[:, s0::d + 1] = 1.0
+        rows[:, s0:s1] = np.multiply.accumulate(f, axis=2)[:, :, -1]
+    rows = 1.0 / rows * c
     return [rows[0]], [rows[1]]
 
 

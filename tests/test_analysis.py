@@ -9,6 +9,8 @@ from baryblend import (ChebyshevBaseline, CubicSplineBaseline, ExtParams,
 from baryblend.analysis import (converge_csv, runge_error_table,
                                 runge_table_csv, scan_csv)
 
+from .conftest import log_perturbed_nodes, perturbed_nodes
+
 
 RUNGE = get_function("runge")
 
@@ -50,6 +52,37 @@ class TestGridSpec:
         pts = GridSpec(2, per_subinterval=5).points(0, 1, nodes)
         assert pts.size == 4 * 5 + 1
         assert pts[0] == 0.0 and pts[-1] == 1.0
+
+    @pytest.mark.parametrize("kind", ["equispaced", "jittered", "log",
+                                      "subnormal"])
+    @pytest.mark.parametrize("k", [1, 3, 10, 40])
+    def test_node_relative_grid_matches_per_gap_linspace(self, kind, k, rng):
+        # the subnormal set has gaps whose step underflows to 0 at k = 10,
+        # where numpy's linspace changes its arithmetic for that gap; an
+        # array-valued np.linspace would change it for every gap
+        nodes = {
+            "equispaced": lambda: NodeSet.equispaced(-1.0, 1.0, 64),
+            "jittered": lambda: perturbed_nodes(-1.0, 1.0, 64, rng),
+            "log": lambda: log_perturbed_nodes(-5.0, 5.0, 64, rng),
+            "subnormal": lambda: NodeSet([0.0, 5e-324, 1e-323, 1e-300,
+                                          2e-300, 1.0]),
+        }[kind]()
+        want = np.concatenate(
+            [np.linspace(nodes.xs[i], nodes.xs[i + 1], k + 1)[:-1]
+             for i in range(nodes.n)] + [[nodes.b]])
+        got = GridSpec(2, per_subinterval=k).points(nodes.a, nodes.b, nodes)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("k", [2.5, 0, -1, "3"])
+    def test_bad_per_subinterval_refused(self, k):
+        with pytest.raises(ValueError, match="per_subinterval"):
+            GridSpec(2, per_subinterval=k)
+
+    def test_integral_per_subinterval_counts_as_int(self):
+        nodes = NodeSet.equispaced(0, 1, 4)
+        pts = GridSpec(2, per_subinterval=3.0).points(0, 1, nodes)
+        want = GridSpec(2, per_subinterval=3).points(0, 1, nodes)
+        assert np.array_equal(pts, want)
 
     def test_count_too_small(self):
         with pytest.raises(ValueError):

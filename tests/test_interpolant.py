@@ -277,6 +277,15 @@ def kernel_case(n, d, e, rng, compensated=False):
                        compensated=compensated)
 
 
+BLOCK_CASES = [
+    (1, 1, 0), (1, 1, 1),
+    (4, 4, 0), (4, 4, 3), (4, 4, 4),      # the end blocks overlap
+    (5, 4, 0), (5, 4, 3), (5, 4, 4),
+    (30, 10, 0), (30, 10, 3), (30, 10, 10),
+    (1000, 14, 0), (1000, 14, 3), (1000, 14, 14),
+]
+
+
 class TestKernel:
     """The sparse kernel against the dense reference, bit for bit."""
 
@@ -338,13 +347,7 @@ class TestKernel:
         assert np.array_equal(
             bits([lebesgue_function(r.nodes, r.params, v) for v in x]), bits(leb))
 
-    @pytest.mark.parametrize("n,d,e", [
-        (1, 1, 0), (1, 1, 1),
-        (4, 4, 0), (4, 4, 3), (4, 4, 4),      # the end blocks overlap
-        (5, 4, 0), (5, 4, 3), (5, 4, 4),
-        (30, 10, 0), (30, 10, 3), (30, 10, 10),
-        (1000, 14, 0), (1000, 14, 3), (1000, 14, 14),
-    ])
+    @pytest.mark.parametrize("n,d,e", BLOCK_CASES)
     def test_block_heights(self, n, d, e, rng):
         # each batch size m takes its own number of nodes per step, and the
         # scalar paths are blocks of m = 1: all must add the same terms in
@@ -380,6 +383,44 @@ class TestKernel:
         want = dense_values(r.nodes, r.ys, r.params, x)
         assert np.array_equal(bits([r.eval(v).value for v in x]), bits(want))
         assert np.array_equal(bits(r(x)), bits(want))
+
+    @pytest.mark.parametrize("n,d,e", BLOCK_CASES)
+    def test_one_point_end_coefs_match_batch(self, n, d, e, rng):
+        # one point's end correction runs on floats, a batch's on arrays:
+        # the point must get the bits of its column in a 2-point batch
+        r = kernel_case(n, d, e, rng)
+        x = rng.uniform(-1.1, 1.1, 300)
+        for v in x[r.nodes.snap_indices(x) < 0][:100]:
+            one = end_coefs(r.weights, r.nodes, r.params, np.array([v]))
+            two = end_coefs(r.weights, r.nodes, r.params, np.array([v, 0.1]))
+            if e == 0:
+                assert one is None and two is None
+                continue
+            for a, b in zip(one, two):
+                assert a.shape == (d, 1)
+                assert np.array_equal(bits(a[:, 0]), bits(b[:, 0]))
+
+    @pytest.mark.parametrize("d,e", [(24, 24), (30, 22)])
+    def test_one_point_end_coefs_match_batch_where_they_overflow(self, d, e):
+        # one ulp outside the snap radius of an end node the Horner
+        # products overflow: both forms must reach the same inf and NaN
+        nodes = NodeSet.equispaced(-1.0, 1.0, 40)
+        r = Interpolant.from_function(nodes, np.cos, d, e)
+        edges = [np.nextafter(nodes.a + nodes.snap_tolerance(0), 2.0),
+                 np.nextafter(nodes.b - nodes.snap_tolerance(40), -2.0)]
+        for v in edges:
+            with np.errstate(all="ignore"):
+                one = end_coefs(r.weights, nodes, r.params, np.array([v]))
+                two = end_coefs(r.weights, nodes, r.params, np.array([v, 0.5]))
+            assert not all(np.isfinite(a).all() for a in one)
+            for a, b in zip(one, two):
+                assert np.array_equal(bits(a[:, 0]), bits(b[:, 0]))
+
+    def test_one_point_end_coefs_refuse_an_endpoint(self, rng):
+        r = kernel_case(30, 10, 4, rng)
+        for v in (r.nodes.a, r.nodes.b):
+            with pytest.raises(ValueError, match="endpoint"):
+                end_coefs(r.weights, r.nodes, r.params, np.array([v]))
 
     def test_empty_batch(self, rng):
         r = kernel_case(30, 10, 4, rng)

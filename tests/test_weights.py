@@ -98,6 +98,12 @@ def bit_cases():
     for n in (1, 2, 5, 64, 1000):
         for d in sorted({0, 1, min(14, n)} | ({n} if n <= 200 else set())):
             yield n, d
+    # 8192 // 14 = 585 windows per chunk: the second chunk starts at an
+    # odd window, so its first window takes the negative sign
+    yield 1000, 13
+    # past d ~ 90 a chunk multiplies its factors in more than one pass, and
+    # the end rows take more than one slice, while the products stay finite
+    yield 200, 100
 
 
 def unscale(nodes, d):
