@@ -17,8 +17,7 @@ from .analysis import (ChebyshevBaseline, CubicSplineBaseline, ErrorReport,
                        GridSpec, LebesgueReport, NoiseSpec, ReferenceFunction,
                        ScanResult, add_noise, converge_n, error_report,
                        gaussian_deviates, get_function, lebesgue_constant,
-                       lebesgue_function, register_function,
-                       runge_error_table, scan_de)
+                       lebesgue_function, runge_error_table, scan_de)
 from .interpolant import (EvalOutcome, Interpolant, dump_interpolant,
                           load_interpolant)
 from .nodes import NodeSet
@@ -36,5 +35,5 @@ __all__ = [
     "converge_n", "denominator_sign_scan", "dump_interpolant",
     "error_report", "gaussian_deviates", "get_function",
     "lebesgue_constant", "lebesgue_function", "load_interpolant",
-    "register_function", "runge_error_table", "scan_de",
+    "runge_error_table", "scan_de",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from itertools import chain
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,30 +38,17 @@ class ReferenceFunction:
         return self.fn(np.asarray(x, dtype=float))
 
 
-def _runge(x):
-    return 1.0 / (1.0 + x * x)
-
-
-_REGISTRY: dict[str, ReferenceFunction] = {}
-
-
-def register_function(name, fn, interval):
-    """Add a reference function to the registry (the extension hook for
-    user-supplied test functions, e.g. piecewise polynomials)."""
-    ref = ReferenceFunction(name, fn, (float(interval[0]), float(interval[1])))
-    _REGISTRY[name] = ref
-    return ref
-
-
-register_function("runge", _runge, (-5.0, 5.0))
+_FUNCTIONS = {"runge": ReferenceFunction("runge", lambda x: 1.0 / (1.0 + x * x),
+                                         (-5.0, 5.0))}
 
 
 def get_function(spec, interval=None):
     """Look up a reference function.
 
-    ``spec`` is a registered name, or ``poly:c0,c1,...`` for a polynomial
-    with the given ascending coefficients. ``interval`` overrides the
-    registered default.
+    ``spec`` is a built-in name (``runge``), or ``poly:c0,c1,...`` for a
+    polynomial with the given ascending coefficients. ``interval``
+    overrides the default. Any other function is a
+    :class:`ReferenceFunction` built directly.
     """
     if spec.startswith("poly:"):
         coeffs = [float(t) for t in spec[5:].split(",") if t]
@@ -70,10 +58,10 @@ def get_function(spec, interval=None):
         ref = ReferenceFunction(spec, lambda x: poly(x), (-1.0, 1.0))
     else:
         try:
-            ref = _REGISTRY[spec]
+            ref = _FUNCTIONS[spec]
         except KeyError:
             raise ValueError(f"unknown function {spec!r}; "
-                             f"known: {sorted(_REGISTRY)}") from None
+                             f"known: {sorted(_FUNCTIONS)}") from None
     if interval is not None:
         ref = ReferenceFunction(ref.name, ref.fn,
                                 (float(interval[0]), float(interval[1])))
@@ -156,7 +144,6 @@ class LebesgueReport:
     """Estimated Lebesgue constant and where it was attained."""
     lambda_max: float
     argmax_x: float
-    grid: GridSpec
 
 
 def lebesgue_function(nodes: NodeSet, params: ExtParams, x,
@@ -167,7 +154,7 @@ def lebesgue_function(nodes: NodeSet, params: ExtParams, x,
     sum to one).
     """
     if weights is None:
-        weights = PrecomputedWeights(nodes, params.validate(nodes))
+        weights = PrecomputedWeights(nodes, params)
 
     def off_nodes(xo):
         abssum, den = term_sums(nodes.xs, weights.fh, xo,
@@ -177,7 +164,7 @@ def lebesgue_function(nodes: NodeSet, params: ExtParams, x,
     return pointwise(nodes, x, np.ones(nodes.n + 1), off_nodes)
 
 
-def _golden_max(fn, lo, hi, xtol_rel=1e-6):
+def _golden_max(fn, lo, hi):
     """Golden-section maximization of a unimodal scalar function."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
@@ -185,7 +172,7 @@ def _golden_max(fn, lo, hi, xtol_rel=1e-6):
     f1, f2 = fn(x1), fn(x2)
     best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
     scale = max(abs(lo), abs(hi), 1e-300)
-    while (hi - lo) > xtol_rel * scale:
+    while (hi - lo) > 1e-6 * scale:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
@@ -201,22 +188,15 @@ def _golden_max(fn, lo, hi, xtol_rel=1e-6):
     return best_x, best_f
 
 
-def lebesgue_constant(nodes: NodeSet, params: ExtParams,
-                      grid: GridSpec | None = None) -> LebesgueReport:
-    """Estimate the Lebesgue constant: coarse grid scan, then golden-section
-    refinement inside the bracketing grid cell.
-
-    The default grid places ``10 * (d + 1)`` points per node subinterval.
-    The estimate never falls below the raw grid maximum.
+def lebesgue_constant(nodes: NodeSet, params: ExtParams) -> LebesgueReport:
+    """Estimate the Lebesgue constant: a scan of the grid of ``10 * (d + 1)``
+    points per node subinterval, then golden-section refinement inside
+    the bracketing grid cell. The estimate never falls below the grid
+    maximum.
     """
-    params.validate(nodes)
-    if grid is None:
-        grid = GridSpec(count=max(10 * nodes.n, 2),
-                        per_subinterval=10 * (params.d + 1))
     weights = PrecomputedWeights(nodes, params)
+    grid = GridSpec(2, per_subinterval=10 * (params.d + 1))
     pts = grid.points(nodes.a, nodes.b, nodes)
-    if pts.size < 10 * nodes.n:
-        raise ValueError("lebesgue grid too coarse: need at least 10*n points")
     vals = lebesgue_function(nodes, params, pts, weights)
     k = int(np.argmax(vals))
     best_x, best_f = float(pts[k]), float(vals[k])
@@ -227,7 +207,7 @@ def lebesgue_constant(nodes: NodeSet, params: ExtParams,
         rx, rf = _golden_max(fn, float(lo), float(hi))
         if rf > best_f:
             best_x, best_f = float(rx), float(rf)
-    return LebesgueReport(best_f, best_x, grid)
+    return LebesgueReport(best_f, best_x)
 
 
 # -- baseline approximants ------------------------------------------------
@@ -238,10 +218,11 @@ class ChebyshevBaseline:
 
     Nodes are ``cos(k*pi/n)`` mapped affinely to ``[a, b]``; the
     barycentric weights alternate in sign and are halved at the endpoints
-    (Berrut & Trefethen 2004).
+    (Berrut & Trefethen 2004). ``noise``, when given, is added to the
+    samples in node index order, as :func:`equispaced_samples` adds it.
     """
 
-    def __init__(self, f: ReferenceFunction, n):
+    def __init__(self, f: ReferenceFunction, n, noise: NoiseSpec | None = None):
         n = whole(n)
         if n is None or n < 1:
             raise ValueError("chebyshev baseline needs an integer n >= 1")
@@ -255,7 +236,8 @@ class ChebyshevBaseline:
         w[-1] *= 0.5
         self.nodes = NodeSet(xs)
         self.w = w
-        self.ys = validate_samples(f(xs), n + 1)
+        ys = f(xs) if noise is None else add_noise(f(xs), noise)
+        self.ys = validate_samples(ys, n + 1)
 
     def __call__(self, x):
         return pointwise(self.nodes, x, self.ys, lambda xo: np.divide(
@@ -274,6 +256,8 @@ class CubicSplineBaseline:
         # imported here: scipy.interpolate is most of the import time of
         # the package, and only this class needs it
         from scipy.interpolate import CubicSpline
+        if not isinstance(nodes, NodeSet):
+            nodes = NodeSet(nodes)
         if nodes.n < 3:
             raise ValueError("cubic spline baseline needs n >= 3")
         self.nodes = nodes
@@ -293,14 +277,18 @@ class NoiseSpec:
     The stream is fully pinned down for cross-platform reproducibility:
     SplitMix64 supplies 64-bit words from the seed, two words become one
     normal deviate through basic Box-Muller, and nodes consume deviates in
-    index order.
+    index order. The seed must be integral (``3.0`` counts as ``3``).
     """
     sigma: float
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not isinstance(self.sigma, Real) or not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be a finite number >= 0")
+        seed = whole(self.seed)
+        if seed is None:
+            raise ValueError("noise seed must be an integer")
+        object.__setattr__(self, "seed", seed)
 
 
 def _splitmix64(seed, count):
@@ -351,7 +339,6 @@ class ScanCell:
 class ScanResult:
     """Rectangular (d, e) sweep at fixed n; invalid cells carry ``None``."""
     n: int
-    interval: tuple[float, float]
     cells: list[ScanCell]
     seed: Optional[int]
     sigma: Optional[float]
@@ -368,13 +355,17 @@ def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
     """Error and Lebesgue-constant sweep over a rectangle of (d, e).
 
     Cells with ``e > d`` or ``d > n`` are emitted as sentinels so the
-    output stays rectangular. Every valid cell is pure and independent;
-    results are assembled in (d, e) order regardless of evaluation order.
+    output stays rectangular; a negative or non-integral ``d`` or ``e`` is
+    refused. Every valid cell is pure and independent; results are
+    assembled in (d, e) order regardless of evaluation order.
     """
+    ds, es = [whole(d) for d in d_range], [whole(e) for e in e_range]
+    if None in ds + es or min(ds + es, default=0) < 0:
+        raise ValueError("d and e must be integers >= 0")
     nodes, ys = equispaced_samples(f, n, noise)
     cells = []
-    for d in d_range:
-        for e in e_range:
+    for d in ds:
+        for e in es:
             if e > d or d > nodes.n:
                 cells.append(ScanCell(d, e, None, None, None))
                 continue
@@ -383,7 +374,7 @@ def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
             leb = lebesgue_constant(nodes, ExtParams(d, e))
             cells.append(ScanCell(d, e, rep.linf, rep.l1, leb.lambda_max))
     seed, sigma = (noise.seed, noise.sigma) if noise else (None, None)
-    return ScanResult(nodes.n, f.interval, cells, seed, sigma)
+    return ScanResult(nodes.n, cells, seed, sigma)
 
 
 @dataclass(frozen=True)
@@ -401,28 +392,33 @@ def converge_n(f: ReferenceFunction, configs, n_list, grid: GridSpec,
     """Error curves versus n for a list of approximant configs.
 
     Configs are ``("fh", d)``, ``("ext", d, e)``, ``("cheb",)`` or
-    ``("spline",)``. Invalid combinations (d > n, spline with n < 3) yield
-    sentinel rows; ``d`` and ``e`` are checked as :class:`ExtParams` does.
+    ``("spline",)``; a config of another length is refused. Invalid
+    combinations (d > n, spline with n < 3) yield sentinel rows; ``d`` and
+    ``e`` are checked as :class:`ExtParams` does. ``noise`` perturbs the
+    samples of every row, Chebyshev rows included.
     """
+    n_list = [whole(n) for n in n_list]
+    if None in n_list or min(n_list, default=1) < 1:
+        raise ValueError("n values must be integers >= 1")
     rows = []
     for cfg in configs:
-        kind = cfg[0]
-        if kind not in ("fh", "ext", "cheb", "spline"):
-            raise ValueError(f"unknown config kind {kind!r}")
+        kind = cfg[0] if cfg else None
+        if len(cfg) != {"fh": 2, "ext": 3, "cheb": 1, "spline": 1}.get(kind):
+            raise ValueError(f"unknown config {cfg!r}; expected ('fh', d), "
+                             "('ext', d, e), ('cheb',) or ('spline',)")
         d = e = None
         if kind in ("fh", "ext"):
             d, e = astuple(ExtParams(cfg[1], cfg[2] if kind == "ext" else 0))
         for n in n_list:
-            nodes, ys = equispaced_samples(f, n, noise)
             if (d is not None and d > n) or (kind == "spline" and n < 3):
                 rows.append(ConvergeRow(_label(cfg), n, d, e, None, None))
                 continue
             if kind == "cheb":
-                approx = ChebyshevBaseline(f, n)
-            elif kind == "spline":
-                approx = CubicSplineBaseline(nodes, ys)
+                approx = ChebyshevBaseline(f, n, noise)
             else:
-                approx = Interpolant(nodes, ys, d, e)
+                nodes, ys = equispaced_samples(f, n, noise)
+                approx = (CubicSplineBaseline(nodes, ys) if kind == "spline"
+                          else Interpolant(nodes, ys, d, e))
             rep = error_report(approx, f, grid)
             rows.append(ConvergeRow(_label(cfg), n, d, e, rep.linf, rep.l1))
     return rows
@@ -455,10 +451,9 @@ class RungeTableRow:
     l1_ext: float
 
 
-def runge_error_table(grid: GridSpec | None = None) -> list[RungeTableRow]:
+def runge_error_table(grid: GridSpec) -> list[RungeTableRow]:
     """Sup and L1 errors of the classical and end-corrected interpolants
     for the Runge function on [-5, 5], at the canonical node counts."""
-    grid = grid or GridSpec()
     f = get_function("runge")
     rows = []
     for n, d_fh in RUNGE_TABLE_ROWS:

@@ -24,7 +24,7 @@ from .weights import ExtParams
 
 def _add_common(p, need_n=True):
     p.add_argument("--fn", default="runge",
-                   help="reference function: a registered name or poly:c0,c1,...")
+                   help="reference function: runge or poly:c0,c1,...")
     p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
                    help="override the function's default interval")
     if need_n:
@@ -130,8 +130,7 @@ def _run(args):
         return converge_csv(rows, noise)
     if args.command == "lebesgue":
         nodes = NodeSet.equispaced(*f.interval, args.n)
-        params = ExtParams(args.d, args.e).validate(nodes)
-        rep = lebesgue_constant(nodes, params)
+        rep = lebesgue_constant(nodes, ExtParams(args.d, args.e))
         return lebesgue_csv(args.n, args.d, args.e, rep)
     raise ValueError(f"unknown command {args.command!r}")
 

@@ -59,12 +59,13 @@ class EvalOutcome(NamedTuple):
 
 
 def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
-    """End-correction functions at ``x``, a scalar or a 1-D array.
+    """End-correction functions at ``x``, a scalar or a 1-D array, for
+    ``e >= 1`` (with ``e = 0`` there are no corrections).
 
     Returns ``(zeta, eta)``, each of shape ``(d,) + x.shape``: ``zeta[j]``
     for nodes ``j = 0 .. d-1`` and ``eta[k]`` for nodes
-    ``j = n-d+1+k .. n``. Both are zero when ``e = 0``. The values carry the
-    same common factor as the stored node weights.
+    ``j = n-d+1+k .. n``. The values carry the same common factor as the
+    stored node weights.
 
     The Horner recurrences of the ``d`` nodes at one end run side by side:
     each step updates the nodes whose recurrence contains it, so every node
@@ -77,8 +78,6 @@ def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
     n = nodes.n
     x = np.asarray(x, dtype=float)
     shape = (d,) + x.shape
-    if e == 0:
-        return np.zeros(shape), np.zeros(shape)
     if np.any(x == nodes.a) or np.any(x == nodes.b):
         raise ValueError("evaluation at an endpoint: snap to the node instead")
     col = (-1,) + (1,) * x.ndim
@@ -324,7 +323,7 @@ class Interpolant:
             nodes = NodeSet(nodes)
         self.nodes = nodes
         self.ys = validate_samples(ys, nodes.n + 1)
-        self.params = ExtParams(d, e).validate(nodes)
+        self.params = ExtParams(d, e)
         self.weights = PrecomputedWeights(nodes, self.params)
         self.compensated = bool(compensated)
 
@@ -429,26 +428,25 @@ def dump_interpolant(interp: Interpolant) -> str:
 
 
 def load_interpolant(text: str) -> Interpolant:
-    """Inverse of :func:`dump_interpolant`; also reads the older header of
-    count, ``d`` and ``e`` alone (general nodes, no compensation).
+    """Inverse of :func:`dump_interpolant`. A record without the five
+    header fields it writes is refused as truncated.
 
     A record with a spacing must hold the nodes of
     :meth:`NodeSet.equispaced` with exactly that spacing.
     """
     vals = text.split()
-    if len(vals) < 3:
+    if len(vals) < 5 or not vals[3].startswith("spacing="):
         raise ValueError("truncated interpolant record")
     count, d, e = int(vals[0]), int(vals[1]), int(vals[2])
-    head = 5 if len(vals) > 3 and vals[3].startswith("spacing=") else 3
-    if len(vals) != head + 2 * count:
+    if len(vals) != 5 + 2 * count:
         raise ValueError("truncated interpolant record")
-    flag = vals[4] if head == 5 else "compensated=0"
+    flag = vals[4]
     if flag not in ("compensated=0", "compensated=1"):
         raise ValueError(f"bad compensation flag {flag!r}")
-    xs = np.array([float(v) for v in vals[head:head + count]])
-    ys = np.array([float(v) for v in vals[head + count:]])
+    xs = np.array([float(v) for v in vals[5:5 + count]])
+    ys = np.array([float(v) for v in vals[5 + count:]])
     nodes = NodeSet(xs)
-    if head == 5 and vals[3] != "spacing=none":
+    if vals[3] != "spacing=none":
         nodes = NodeSet.equispaced(xs[0], xs[-1], count - 1)
         if nodes.spacing != float(vals[3][8:]) or not np.array_equal(nodes.xs, xs):
             raise ValueError("record spacing does not match its nodes")

@@ -99,15 +99,10 @@ class NodeSet:
         """
         xs = self.xs
         i = int(np.searchsorted(xs, x))
-        best = None
-        dist = np.inf
-        for k in (i - 1, i):
-            if 0 <= k <= self.n and abs(x - xs[k]) < dist:
-                dist = abs(x - xs[k])
-                best = k
-        if best is not None and dist <= self.snap_tolerance(best):
-            return best
-        return None
+        lo, hi = max(i - 1, 0), min(i, self.n)
+        dl, dh = abs(x - xs[lo]), abs(x - xs[hi])
+        j, dist = (lo, dl) if dl <= dh else (hi, dh)
+        return j if dist <= self.snap_tolerance(j) else None
 
     def snap_indices(self, x):
         """Vectorized :meth:`snap_index`: array of node indices, -1 for none."""

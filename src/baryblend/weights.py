@@ -157,7 +157,6 @@ def end_weight_tables(nodes: NodeSet, params: ExtParams):
     ``(2, d, d)`` block of factors, the two windows side by side (in
     slices of rows when ``2 * d * d`` exceeds ``_BLOCK``).
     """
-    params.validate(nodes)
     d, n = params.d, nodes.n
     if params.e == 0:
         return [], []

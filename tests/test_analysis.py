@@ -5,7 +5,7 @@ from baryblend import (ChebyshevBaseline, CubicSplineBaseline, ExtParams,
                        GridSpec, Interpolant, NodeSet, NoiseSpec, add_noise,
                        converge_n, error_report, gaussian_deviates,
                        get_function, lebesgue_constant, lebesgue_function,
-                       register_function, scan_de)
+                       scan_de)
 from baryblend.analysis import (converge_csv, runge_error_table,
                                 runge_table_csv, scan_csv)
 
@@ -28,10 +28,6 @@ class TestReferenceFunctions:
     def test_poly_hook(self):
         f = get_function("poly:1,0,2")       # 1 + 2 x^2
         assert f(3.0) == 19.0
-
-    def test_register_hook(self):
-        register_function("absx", np.abs, (-1, 1))
-        assert get_function("absx")(-0.5) == 0.5
 
     def test_unknown_function(self):
         with pytest.raises(ValueError, match="unknown function"):
@@ -120,27 +116,15 @@ class TestLebesgue:
         rep = lebesgue_constant(nodes, ExtParams(1, 0))
         assert rep.lambda_max == pytest.approx(1.0, abs=1e-9)
 
-    def test_estimate_monotone_under_refinement(self):
-        nodes = NodeSet.equispaced(-1, 1, 16)
-        params = ExtParams(6, 0)
-        coarse = lebesgue_constant(nodes, params,
-                                   GridSpec(2, per_subinterval=40))
-        fine = lebesgue_constant(nodes, params,
-                                 GridSpec(2, per_subinterval=80))
-        assert fine.lambda_max >= coarse.lambda_max * (1 - 1e-9)
-
     def test_refinement_beats_raw_grid(self):
+        # the scan grid: 10 * (d + 1) points per node gap
         nodes = NodeSet.equispaced(-1, 1, 16)
         params = ExtParams(6, 0)
         rep = lebesgue_constant(nodes, params)
-        pts = rep.grid.points(nodes.a, nodes.b, nodes)
+        grid = GridSpec(2, per_subinterval=10 * (params.d + 1))
+        pts = grid.points(nodes.a, nodes.b, nodes)
         raw = lebesgue_function(nodes, params, pts).max()
         assert rep.lambda_max >= raw
-
-    def test_grid_too_coarse_rejected(self):
-        nodes = NodeSet.equispaced(-1, 1, 16)
-        with pytest.raises(ValueError, match="grid"):
-            lebesgue_constant(nodes, ExtParams(3, 0), GridSpec(20))
 
     def test_exponential_growth_in_d_at_e0(self):
         nodes = NodeSet.equispaced(-1, 1, 32)
@@ -228,6 +212,17 @@ class TestBaselines:
         slope = np.polyfit(np.log10(list(errs)), np.log10(list(errs.values())), 1)[0]
         assert slope == pytest.approx(-4.0, abs=0.5)
 
+    def test_spline_takes_plain_node_arrays(self):
+        xs, ys = np.linspace(0.0, 1.0, 5), np.arange(5.0)
+        sp = CubicSplineBaseline(xs, ys)
+        assert sp(0.3) == CubicSplineBaseline(NodeSet(xs), ys)(0.3)
+
+    def test_chebyshev_samples_carry_noise(self):
+        noise = NoiseSpec(0.01, 3)
+        clean = ChebyshevBaseline(RUNGE, 8)
+        noisy = ChebyshevBaseline(RUNGE, 8, noise)
+        np.testing.assert_array_equal(noisy.ys, add_noise(clean.ys, noise))
+
     def test_spline_too_few_nodes(self):
         nodes = NodeSet.equispaced(0, 1, 2)
         with pytest.raises(ValueError, match="n >= 3"):
@@ -271,6 +266,22 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec(-1.0, 0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), "0.1"])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseSpec(sigma)
+
+    @pytest.mark.parametrize("seed", [1.5, "1", None])
+    def test_non_integral_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(0.1, seed)
+
+    def test_integral_seed_counts_as_int(self):
+        spec = NoiseSpec(0.1, 3.0)
+        assert spec.seed == 3 and isinstance(spec.seed, int)
+        np.testing.assert_array_equal(add_noise(np.zeros(5), spec),
+                                      add_noise(np.zeros(5), NoiseSpec(0.1, 3)))
+
 
 class TestScans:
     def test_scan_sentinels_above_diagonal(self):
@@ -284,6 +295,11 @@ class TestScans:
     def test_scan_d_above_n_sentinel(self):
         res = scan_de(RUNGE, 4, range(6, 8), range(1), GridSpec(501))
         assert all(c.linf is None for c in res.cells)
+
+    @pytest.mark.parametrize("ds,es", [([-1], [0]), ([2], [-1]), ([2.5], [3])])
+    def test_scan_bad_degree_refused(self, ds, es):
+        with pytest.raises(ValueError, match="integers"):
+            scan_de(RUNGE, 8, ds, es, GridSpec(501))
 
     def test_scan_csv_shape_and_na(self):
         res = scan_de(RUNGE, 8, range(3), range(3), GridSpec(501))
@@ -312,6 +328,27 @@ class TestScans:
     def test_converge_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown config"):
             converge_n(RUNGE, [("mystery",)], [8], GridSpec(501))
+
+    @pytest.mark.parametrize("cfg", [("fh",), ("ext", 4), ("cheb", 3),
+                                     ("fh", 3, 9), ()])
+    def test_converge_config_of_wrong_length_refused(self, cfg):
+        with pytest.raises(ValueError, match="unknown config"):
+            converge_n(RUNGE, [cfg], [8], GridSpec(501))
+
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_converge_bad_n_refused(self, n):
+        # d > n and spline n < 3 would otherwise make sentinel rows
+        with pytest.raises(ValueError, match="n values"):
+            converge_n(RUNGE, [("fh", 3), ("spline",)], [n], GridSpec(501))
+
+    def test_converge_cheb_rows_carry_noise(self):
+        grid, noise = GridSpec(501), NoiseSpec(0.01, 3)
+        clean = converge_n(RUNGE, [("cheb",)], [8, 16], grid)
+        noisy = converge_n(RUNGE, [("cheb",)], [8, 16], grid, noise)
+        for c, r in zip(clean, noisy):
+            want = error_report(ChebyshevBaseline(RUNGE, r.n, noise), RUNGE, grid)
+            assert (r.linf, r.l1) == (want.linf, want.l1)
+            assert r.linf != c.linf
 
     def test_converge_csv_header(self):
         rows = converge_n(RUNGE, [("cheb",)], [8], GridSpec(501))
