@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .interpolant import Interpolant, end_coefs, pointwise, term_sums
+from .interpolant import Interpolant, pointwise, term_sums
 from .interpolant import term_rows  # noqa: F401  (public as analysis.term_rows)
 from .nodes import NodeSet, validate_samples, whole
 from .weights import ExtParams, PrecomputedWeights
@@ -51,10 +51,10 @@ def get_function(spec, interval=None):
     :class:`ReferenceFunction` built directly.
     """
     if spec.startswith("poly:"):
-        coeffs = [float(t) for t in spec[5:].split(",") if t]
-        if not coeffs:
-            raise ValueError("poly: needs at least one coefficient")
-        poly = np.polynomial.Polynomial(coeffs)
+        terms = spec[5:].split(",")
+        if not all(t.strip() for t in terms):
+            raise ValueError(f"empty coefficient in {spec!r}")
+        poly = np.polynomial.Polynomial([float(t) for t in terms])
         ref = ReferenceFunction(spec, lambda x: poly(x), (-1.0, 1.0))
     else:
         try:
@@ -65,8 +65,8 @@ def get_function(spec, interval=None):
     if interval is not None:
         ref = ReferenceFunction(ref.name, ref.fn,
                                 (float(interval[0]), float(interval[1])))
-    if ref.interval[0] >= ref.interval[1]:
-        raise ValueError("invalid interval: need a < b")
+    if not -math.inf < ref.interval[0] < ref.interval[1] < math.inf:
+        raise ValueError("invalid interval: need finite a < b")
     return ref
 
 
@@ -158,7 +158,7 @@ def lebesgue_function(nodes: NodeSet, params: ExtParams, x,
 
     def off_nodes(xo):
         abssum, den = term_sums(nodes.xs, weights.fh, xo,
-                                ends=end_coefs(weights, nodes, params, xo))
+                                ends=(weights, nodes, params))
         return abssum / np.abs(den)
 
     return pointwise(nodes, x, np.ones(nodes.n + 1), off_nodes)

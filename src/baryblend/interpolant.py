@@ -24,9 +24,10 @@ of a block in node order. A single point snaps through
 would sum pairwise, so a block with one column reduces with the sequential
 ``np.add.accumulate`` instead; its ``2d`` end coefficients are formed on
 Python floats, in the order a batch forms them with numpy. A larger batch
-takes one node per step and updates its running sums in place. Every path adds the terms strictly left
-to right in node order, starting from 0.0, so the scalar and vectorized
-paths produce bit-identical results. Optional two-term (Kahan)
+takes one node per step and updates its running sums in place, its end
+rows formed per block of 4,096 points. Every path adds the terms strictly
+left to right in node order, starting from 0.0, so the scalar and
+vectorized paths produce bit-identical results. Optional two-term (Kahan)
 compensation is available behind a flag; a compensated batch of any size
 takes one node per step.
 """
@@ -40,7 +41,7 @@ import numpy as np
 from .nodes import NodeSet, validate_samples, whole
 from .weights import ExtParams, PrecomputedWeights
 
-_CHUNK = 4096
+_CHUNK, _END_BLOCK = 32768, 4096
 # A batch of m points takes about _BLOCK // m nodes per step of the kernel,
 # under _SWEEP_MIN points; from there on one node per step with in-place
 # updates is faster (measured on a 2-vCPU Xeon, AVX-512, numpy 2.4).
@@ -58,14 +59,16 @@ class EvalOutcome(NamedTuple):
     at_node: Optional[int]
 
 
-def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
+def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x,
+             side=None):
     """End-correction functions at ``x``, a scalar or a 1-D array, for
     ``e >= 1`` (with ``e = 0`` there are no corrections).
 
     Returns ``(zeta, eta)``, each of shape ``(d,) + x.shape``: ``zeta[j]``
     for nodes ``j = 0 .. d-1`` and ``eta[k]`` for nodes
     ``j = n-d+1+k .. n``. The values carry the same common factor as the
-    stored node weights.
+    stored node weights. ``side="lower"`` or ``side="upper"`` forms only
+    that end and gives ``None`` for the other.
 
     The Horner recurrences of the ``d`` nodes at one end run side by side:
     each step updates the nodes whose recurrence contains it, so every node
@@ -82,23 +85,26 @@ def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
         raise ValueError("evaluation at an endpoint: snap to the node instead")
     col = (-1,) + (1,) * x.ndim
     xs = nodes.xs.reshape(col)
-    # node j < d takes the steps k = max(j, d-e)+1 .. d-1, upward
-    w0 = 1.0 / (x - nodes.a)
-    zeta = np.ones(shape)
-    for k in range(d - e + 1, d):
-        acc = zeta[:k]
-        acc *= (xs[:k] - xs[k]) * w0
-        np.subtract(1.0, acc, out=acc)
-    zeta *= -weights.lower_lead.reshape(col) * w0
-    # node j = lo + i takes the steps k = min(j, n-d+e)-1 .. lo, downward
-    lo = n - d + 1
-    vn = 1.0 / (x - nodes.b)
-    eta = np.ones(shape)
-    for k in range(n - d + e - 1, lo - 1, -1):
-        acc = eta[k + 1 - lo:]
-        acc *= (xs[k + 1:] - xs[k]) * vn
-        np.subtract(1.0, acc, out=acc)
-    eta *= (-1.0 if lo % 2 else 1.0) * weights.upper_lead.reshape(col) * vn
+    zeta = eta = None
+    if side != "upper":
+        # node j < d takes the steps k = max(j, d-e)+1 .. d-1, upward
+        w0 = 1.0 / (x - nodes.a)
+        zeta = np.ones(shape)
+        for k in range(d - e + 1, d):
+            acc = zeta[:k]
+            acc *= (xs[:k] - xs[k]) * w0
+            np.subtract(1.0, acc, out=acc)
+        zeta *= -weights.lower_lead.reshape(col) * w0
+    if side != "lower":
+        # node j = lo + i takes the steps k = min(j, n-d+e)-1 .. lo, downward
+        lo = n - d + 1
+        vn = 1.0 / (x - nodes.b)
+        eta = np.ones(shape)
+        for k in range(n - d + e - 1, lo - 1, -1):
+            acc = eta[k + 1 - lo:]
+            acc *= (xs[k + 1:] - xs[k]) * vn
+            np.subtract(1.0, acc, out=acc)
+        eta *= (-1.0 if lo % 2 else 1.0) * weights.upper_lead.reshape(col) * vn
     return zeta, eta
 
 
@@ -187,9 +193,10 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
     """Node sums of the terms ``t_k = c_k / (x - x_k)`` at the off-node
     points ``x`` (1-D), added left to right in node order from 0.0.
 
-    ``c_k`` is the constant ``w[k]``, except at the end nodes when ``ends``
-    (from :func:`end_coefs`) gives their values per point. Returns ``(num, den)``
-    with ``den = sum_k t_k`` and ``num = sum_k t_k ys[k]``. With ``ys=None``,
+    ``c_k`` is the constant ``w[k]``, except at the ``d`` nodes at each end
+    when ``ends = (weights, nodes, params)`` has ``e >= 1``: their values
+    per point are :func:`end_coefs`. Returns ``(num, den)`` with
+    ``den = sum_k t_k`` and ``num = sum_k t_k ys[k]``. With ``ys=None``,
     ``num`` is ``sum_k |t_k|`` instead; with ``col=j`` it is ``t_j``.
     ``compensated`` adds every sum with two-term (Kahan) compensation.
 
@@ -198,35 +205,60 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
     ``(h, m)`` block of terms under a row holding the running sums, and
     :func:`_reduce` adds its rows in node order (a single point's block
     too, with one column). A larger batch, or a compensated one, takes one
-    node per step (``h = 1``) and updates its running sums in place.
+    node per step (``h = 1``) and updates its running sums in place: the
+    interior nodes over the whole batch, each end's nodes over blocks of
+    ``_END_BLOCK`` points, that end's rows formed per block just before
+    its steps (ends that share nodes leave no interior: a block takes all).
     Either way each sum sees the same adds in the same order.
     """
     m, size = x.size, xs.size
+    nl = ends[2].d if ends is not None and ends[2].e else 0
+    lo = size - nl                      # end nodes: k < nl and k >= lo
     if compensated or m >= _SWEEP_MIN:
-        diff, t, v = np.empty(m), np.empty(m), np.empty(m)
         num, den = np.zeros(m), np.zeros(m)
         cn, cd = (np.zeros(m), np.zeros(m)) if compensated else (None, None)
-        c = w.tolist()
-        if ends is not None:
-            c[:len(ends[0])], c[-len(ends[1]):] = ends[0], ends[1]
+        xl = xs.tolist()
         yl = ys.tolist() if ys is not None else None
-        for k, xk in enumerate(xs.tolist()):
-            np.subtract(x, xk, out=diff)
-            np.divide(c[k], diff, out=t)
-            if col is None:
-                _add(num, np.absolute(t, out=v) if yl is None
-                     else np.multiply(t, yl[k], out=v), cn)
-            elif k == col:
-                num = t.copy()
-            _add(den, t, cd)
+
+        def steps(k0, s, coefs):
+            # nodes k0, k0 + 1, ... with coefficients coefs at the points x[s]
+            xb, nb, db = x[s], num[s], den[s]
+            kn, kd = (None, None) if cn is None else (cn[s], cd[s])
+            t, v = np.empty((2, xb.size))
+            for k, ck in enumerate(coefs, k0):
+                np.subtract(xb, xl[k], out=t)
+                np.divide(ck, t, out=t)
+                if col is None:
+                    _add(nb, np.absolute(t, out=v) if yl is None
+                         else np.multiply(t, yl[k], out=v), kn)
+                elif k == col:
+                    nb[...] = t
+                _add(db, t, kd)
+
+        def rows(s, side):
+            # c_k(x[s]) of one end's nodes, for ends that share no node
+            r = zeta_eta(*ends, x[s], side)[side == "upper"]
+            fh = ends[0].fh[:, None]
+            r += fh[:nl] if side == "lower" else fh[lo:]
+            return r
+
+        blocks = [slice(s, s + _END_BLOCK) for s in range(0, m, _END_BLOCK)]
+        if lo < nl:
+            for s in blocks:
+                lower, upper = end_coefs(*ends, x[s])
+                steps(0, s, [*lower, *upper[nl - lo:]])
+            return num, den
+        for s in blocks if nl else ():
+            steps(0, s, rows(s, "lower"))
+        steps(nl, slice(None), w[nl:lo].tolist())
+        for s in blocks if nl else ():
+            steps(lo, s, rows(s, "upper"))
         return num, den
     h = min(_BLOCK // max(m, 1), size)
     xc, wc = xs[:, None], w[:, None]
     yc = None if ys is None else ys[:, None]
-    nl, lo = 0, size                    # end nodes: k < nl and k >= lo
-    if ends is not None:
-        lower, upper = ends
-        nl, lo = len(lower), size - len(upper)
+    if nl:
+        lower, upper = end_coefs(*ends, x)
     # row 0 of each block carries the running sum over the earlier nodes
     T, V = np.zeros((h + 1, m)), np.zeros((h + 1, m))
     diff = np.empty((h, m))
@@ -267,7 +299,7 @@ def _point(nodes: NodeSet, x, at_nodes, off_nodes):
 
 
 def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
-    """Evaluate at a scalar or an array ``x``, in chunks of 4096 points.
+    """Evaluate at a scalar or an array ``x``, in chunks of 32,768 points.
 
     A point that snaps to node ``j`` gets ``at_nodes[j]``; the other points
     of a chunk get ``off_nodes(points)``. Returns a float for scalar ``x``,
@@ -284,10 +316,9 @@ def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
         block = flat[s:s + _CHUNK]
         snap = nodes.snap_indices(block)
         off = snap < 0
-        res = at_nodes[snap]
+        res = np.take(at_nodes, snap, out=out[s:s + block.size])
         if off.any():
             res[off] = off_nodes(block[off])
-        out[s:s + block.size] = res
     return out.reshape(xv.shape)
 
 
@@ -360,8 +391,7 @@ class Interpolant:
 
     def _values(self, x):
         num, den = term_sums(self.nodes.xs, self.weights.fh, x, self.ys,
-                             ends=end_coefs(self.weights, self.nodes,
-                                            self.params, x),
+                             ends=(self.weights, self.nodes, self.params),
                              compensated=self.compensated)
         return num / den
 
@@ -377,8 +407,7 @@ class Interpolant:
 
         def off_nodes(xo):
             tj, den = term_sums(self.nodes.xs, self.weights.fh, xo, col=k,
-                                ends=end_coefs(self.weights, self.nodes,
-                                               self.params, xo))
+                                ends=(self.weights, self.nodes, self.params))
             return tj / den
 
         return pointwise(self.nodes, x, unit, off_nodes)

@@ -37,6 +37,20 @@ class TestReferenceFunctions:
         with pytest.raises(ValueError, match="invalid interval"):
             get_function("runge", (2, 2))
 
+    @pytest.mark.parametrize("spec", ["poly:1,,2", "poly:1,2,", "poly:,1",
+                                      "poly:1, ,2", "poly:"])
+    def test_poly_empty_coefficient_refused(self, spec):
+        # "poly:1,,2" is not 1 + 2x
+        with pytest.raises(ValueError, match="empty coefficient"):
+            get_function(spec)
+
+    @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 1.0),
+                                          (np.nan, 1.0), (0.0, np.nan),
+                                          (np.nan, np.nan)])
+    def test_non_finite_interval_refused(self, interval):
+        with pytest.raises(ValueError, match="invalid interval"):
+            get_function("runge", interval)
+
 
 class TestGridSpec:
     def test_uniform_includes_endpoints(self):

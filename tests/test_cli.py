@@ -108,6 +108,14 @@ class TestEval:
         assert code == 2
         assert "unknown function" in err
 
+    def test_empty_poly_coefficient_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["eval", "--fn", "poly:1,,2", "--n", "8", "--d", "3",
+             "--at", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: empty coefficient in 'poly:1,,2'\n"
+
 
 class TestScan:
     def test_rectangular_with_na_above_diagonal(self, capsys):
@@ -153,6 +161,15 @@ class TestConverge:
             ["converge", "--configs", "spl1ne", "--grid", "501"], capsys)
         assert code == 2
         assert "bad config" in err
+
+    def test_infinite_interval_gives_one_line(self):
+        # refused before the Chebyshev nodes are formed, so numpy's
+        # invalid-value warning does not come first
+        out = cli_process(["converge", "--configs", "cheb", "--n-list", "8",
+                           "--interval", "0", "inf"])
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: invalid interval: need finite a < b\n"
 
 
 class TestLebesgueCmd:

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from baryblend import (ExtParams, Interpolant, NodeSet, PrecomputedWeights,
-                       dump_interpolant, lebesgue_function,
-                       load_interpolant)
+from baryblend import (ChebyshevBaseline, ExtParams, Interpolant, NodeSet,
+                       PrecomputedWeights, dump_interpolant, get_function,
+                       lebesgue_function, load_interpolant)
 from baryblend.interpolant import _SWEEP_MIN, end_coefs, term_sums, zeta_eta
 from baryblend.oracle import dense_values, fh_value
 
@@ -279,6 +279,22 @@ BLOCK_CASES = [
 ]
 
 
+LARGE_SIZES = (4095, 4096, 4097, 32767, 32768, 32769, 100_001)
+
+
+def assert_large_batches_match(f, x0, sizes=LARGE_SIZES):
+    """``f`` on each prefix ``x[:m]``, ``m`` in ``sizes``, of ``x0``
+    repeated, equals ``f`` on ``x0`` in slices of 1,000 points, and on
+    scalars, bit for bit (repeating ``x0`` keeps the slices few)."""
+    x = np.resize(x0, LARGE_SIZES[-1])
+    small = np.resize(np.concatenate(
+        [f(x0[i:i + 1000]) for i in range(0, x0.size, 1000)]), x.size)
+    pick = [0, 4094, 4095, 4096, 32767, 32768, 65536, x.size - 1]
+    assert np.array_equal(bits([f(x[p]) for p in pick]), bits(small[pick]))
+    for m in sizes:
+        assert np.array_equal(bits(f(x[:m])), bits(small[:m]))
+
+
 class TestKernel:
     """The sparse kernel against the dense reference, bit for bit."""
 
@@ -344,29 +360,81 @@ class TestKernel:
     def test_block_heights(self, n, d, e, rng):
         # each batch size m takes its own number of nodes per step, and the
         # scalar paths are blocks of m = 1: all must add the same terms in
-        # the same order
+        # the same order. One dense reference serves every batch size.
         r = kernel_case(n, d, e, rng)
-        unit = np.zeros(n + 1)
+        batches = []
         for m in (1, 2, 3, 31, 32, 33, _SWEEP_MIN - 1, _SWEEP_MIN,
                   4095, 4096, 4097):
             x = rng.uniform(-1.1, 1.1, m)
-            pick = rng.choice(m, min(m, 6), replace=False)
+            batches.append((x, rng.choice(m, min(m, 6), replace=False)))
+        xall = np.concatenate([x for x, _ in batches])
+        cuts = np.cumsum([0] + [x.size for x, _ in batches])
+
+        def dense(ys):
+            return np.concatenate([
+                dense_values(r.nodes, ys, r.params, xall[i:i + 4097])
+                for i in range(0, xall.size, 4097)])
+
+        unit = np.zeros(n + 1)
+        want = {None: dense(r.ys)}
+        for j in {0, n, d - 1, n - d + 1}:
+            unit[:] = 0.0
+            unit[j] = 1.0
+            want[j] = dense(unit)
+        leb = lambda v: lebesgue_function(r.nodes, r.params, v, r.weights)
+        for (x, pick), a, b in zip(batches, cuts, cuts[1:]):
             vec = r(x)
-            assert np.array_equal(bits(vec),
-                                  bits(dense_values(r.nodes, r.ys, r.params, x)))
+            assert np.array_equal(bits(vec), bits(want[None][a:b]))
             assert np.array_equal(bits([r.eval(x[p]).value for p in pick]),
                                   bits(vec[pick]))
             for j in {0, n, d - 1, n - d + 1}:
-                unit[:] = 0.0
-                unit[j] = 1.0
                 vec = r.basis(j, x)
-                assert np.array_equal(
-                    bits(vec), bits(dense_values(r.nodes, unit, r.params, x)))
+                assert np.array_equal(bits(vec), bits(want[j][a:b]))
                 assert np.array_equal(bits([r.basis(j, x[p]) for p in pick]),
                                       bits(vec[pick]))
-            leb = lambda v: lebesgue_function(r.nodes, r.params, v, r.weights)
             assert np.array_equal(bits([leb(x[p]) for p in pick]),
                                   bits(leb(x)[pick]))
+
+    @pytest.mark.parametrize("n,d,e", [
+        (20, 14, 4), (26, 14, 4),           # the end blocks overlap
+        (27, 14, 4),                        # they touch: no interior
+        (28, 14, 4), (1000, 14, 4), (64, 12, 12),
+    ])
+    def test_large_batches_match_small_slices(self, n, d, e, rng):
+        # a batch of 1024 points or more steps its interior nodes over
+        # chunks of up to 32,768 points and its end nodes over blocks of
+        # 4,096; slices under 1,024 points take node blocks, and scalars
+        # one-column blocks: every batch size must give the same bits
+        r = kernel_case(n, d, e, rng)
+        rc = Interpolant(r.nodes, r.ys, d, e, compensated=True)
+        x = rng.uniform(-1.1, 1.1, 33_000)
+        x[::89] = r.nodes.xs[rng.integers(0, n + 1, x[::89].size)]
+        for f in (r, lambda v: r.basis(n - d + 1, v),
+                  lambda v: lebesgue_function(r.nodes, r.params, v, r.weights)):
+            assert_large_batches_match(f, x)
+        # the compensated sweep is the slowest path: at n = 1000 it stops
+        # at 32,769 points, and the smaller n cover 100,001
+        assert_large_batches_match(rc, x, LARGE_SIZES[:None if n < 1000 else -1])
+
+    @pytest.mark.parametrize("n", [20, 1000])
+    def test_chebyshev_large_batches_match_small_slices(self, n, rng):
+        cheb = ChebyshevBaseline(get_function("runge"), n)
+        x = rng.uniform(-5.5, 5.5, 33_000)
+        x[::89] = cheb.nodes.xs[rng.integers(0, n + 1, x[::89].size)]
+        assert_large_batches_match(cheb, x)
+
+    def test_large_batch_memory_stays_per_block(self, rng):
+        # the (d, m) end rows of a 32,768-point chunk, formed at once,
+        # would peak near 12 MiB
+        r = kernel_case(1000, 14, 4, rng)
+        x = rng.uniform(-1.0, 1.0, 32768)
+        tracemalloc.start()
+        try:
+            r(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_single_point_spans_blocks(self, rng):
         # past 8192 nodes a single point takes more than one block
@@ -418,7 +486,7 @@ class TestKernel:
     def test_empty_batch(self, rng):
         r = kernel_case(30, 10, 4, rng)
         x = np.empty(0)
-        ends = end_coefs(r.weights, r.nodes, r.params, x)
+        ends = (r.weights, r.nodes, r.params)
         for sums in (term_sums(r.nodes.xs, r.weights.fh, x, r.ys, ends),
                      term_sums(r.nodes.xs, r.weights.fh, x, r.ys, ends,
                                compensated=True)):

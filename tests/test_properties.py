@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from baryblend import Interpolant, NodeSet, lebesgue_function
-from baryblend.interpolant import end_coefs, pointwise, term_sums
+from baryblend.interpolant import pointwise, term_sums
 from baryblend.oracle import _blend_functions, fh_value
 
 from .conftest import log_perturbed_nodes
@@ -71,7 +71,7 @@ def rescaled_value(r, x, factor):
 
     def off_nodes(xo):
         num, den = term_sums(r.nodes.xs, w.fh, xo, r.ys,
-                             ends=end_coefs(w, r.nodes, r.params, xo))
+                             ends=(w, r.nodes, r.params))
         return num / den
 
     return pointwise(r.nodes, x, r.ys, off_nodes)
