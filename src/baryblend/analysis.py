@@ -355,13 +355,14 @@ def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
     """Error and Lebesgue-constant sweep over a rectangle of (d, e).
 
     Cells with ``e > d`` or ``d > n`` are emitted as sentinels so the
-    output stays rectangular; a negative or non-integral ``d`` or ``e`` is
-    refused. Every valid cell is pure and independent; results are
-    assembled in (d, e) order regardless of evaluation order.
+    output stays rectangular; a negative or non-integral ``d`` or ``e``,
+    or an empty range, is refused. Every valid cell is pure and
+    independent; results are assembled in (d, e) order regardless of
+    evaluation order.
     """
     ds, es = [whole(d) for d in d_range], [whole(e) for e in e_range]
-    if None in ds + es or min(ds + es, default=0) < 0:
-        raise ValueError("d and e must be integers >= 0")
+    if not (ds and es) or None in ds + es or min(ds + es) < 0:
+        raise ValueError("d and e must be non-empty ranges of integers >= 0")
     nodes, ys = equispaced_samples(f, n, noise)
     cells = []
     for d in ds:

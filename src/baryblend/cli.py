@@ -9,6 +9,7 @@ byte-identical between runs.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -83,19 +84,16 @@ def _noise(args):
 
 
 def _parse_config(token):
-    if token == "cheb":
-        return ("cheb",)
-    if token == "spline":
-        return ("spline",)
-    if token.startswith("fh:"):
-        return ("fh", int(token[3:]))
-    if token.startswith("ext:"):
-        d, e = token[4:].split(",")
-        return ("ext", int(d), int(e))
-    raise ValueError(f"bad config {token!r}; expected fh:D, ext:D,E, cheb or spline")
+    m = re.fullmatch(r"(cheb|spline)|(fh):(-?\d+)|(ext):(-?\d+),(-?\d+)", token)
+    if m is None:
+        raise ValueError(f"bad config {token!r}; expected fh:D, ext:D,E, cheb or spline")
+    kind, *vals = [g for g in m.groups() if g is not None]
+    return (kind, *map(int, vals))
 
 
 def _default_n_list(nmax):
+    if nmax < 10:
+        raise ValueError("--nmax must be >= 10")
     ns = []
     n = 10
     while n <= nmax:
@@ -121,8 +119,10 @@ def _run(args):
         return scan_csv(res)
     if args.command == "converge":
         configs = [_parse_config(t) for t in args.configs]
-        if args.n_list:
-            n_list = [int(t) for t in args.n_list.split(",") if t]
+        if args.n_list is not None:
+            if "" in args.n_list.split(","):
+                raise ValueError(f"empty n in --n-list {args.n_list!r}")
+            n_list = [int(t) for t in args.n_list.split(",")]
         else:
             n_list = _default_n_list(args.nmax)
         noise = _noise(args)

@@ -24,16 +24,17 @@ of a block in node order. A single point snaps through
 would sum pairwise, so a block with one column reduces with the sequential
 ``np.add.accumulate`` instead; its ``2d`` end coefficients are formed on
 Python floats, in the order a batch forms them with numpy. A larger batch
-takes one node per step and updates its running sums in place, its end
-rows formed per block of 4,096 points. Every path adds the terms strictly
-left to right in node order, starting from 0.0, so the scalar and
-vectorized paths produce bit-identical results. Optional two-term (Kahan)
-compensation is available behind a flag; a compensated batch of any size
-takes one node per step.
+takes one node per step and updates its running sums in place, each end
+node's row formed by its own Horner chain just before its step. Every
+path adds the terms strictly left to right in node order, starting from
+0.0, so the scalar and vectorized paths produce bit-identical results.
+Optional two-term (Kahan) compensation is available behind a flag; a
+compensated batch of any size takes one node per step.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,7 +42,7 @@ import numpy as np
 from .nodes import NodeSet, validate_samples, whole
 from .weights import ExtParams, PrecomputedWeights
 
-_CHUNK, _END_BLOCK = 32768, 4096
+_CHUNK = 32768
 # A batch of m points takes about _BLOCK // m nodes per step of the kernel,
 # under _SWEEP_MIN points; from there on one node per step with in-place
 # updates is faster (measured on a 2-vCPU Xeon, AVX-512, numpy 2.4).
@@ -59,16 +60,14 @@ class EvalOutcome(NamedTuple):
     at_node: Optional[int]
 
 
-def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x,
-             side=None):
+def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
     """End-correction functions at ``x``, a scalar or a 1-D array, for
     ``e >= 1`` (with ``e = 0`` there are no corrections).
 
     Returns ``(zeta, eta)``, each of shape ``(d,) + x.shape``: ``zeta[j]``
     for nodes ``j = 0 .. d-1`` and ``eta[k]`` for nodes
     ``j = n-d+1+k .. n``. The values carry the same common factor as the
-    stored node weights. ``side="lower"`` or ``side="upper"`` forms only
-    that end and gives ``None`` for the other.
+    stored node weights.
 
     The Horner recurrences of the ``d`` nodes at one end run side by side:
     each step updates the nodes whose recurrence contains it, so every node
@@ -85,27 +84,64 @@ def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x,
         raise ValueError("evaluation at an endpoint: snap to the node instead")
     col = (-1,) + (1,) * x.ndim
     xs = nodes.xs.reshape(col)
-    zeta = eta = None
-    if side != "upper":
-        # node j < d takes the steps k = max(j, d-e)+1 .. d-1, upward
-        w0 = 1.0 / (x - nodes.a)
-        zeta = np.ones(shape)
-        for k in range(d - e + 1, d):
-            acc = zeta[:k]
-            acc *= (xs[:k] - xs[k]) * w0
-            np.subtract(1.0, acc, out=acc)
-        zeta *= -weights.lower_lead.reshape(col) * w0
-    if side != "lower":
-        # node j = lo + i takes the steps k = min(j, n-d+e)-1 .. lo, downward
-        lo = n - d + 1
-        vn = 1.0 / (x - nodes.b)
-        eta = np.ones(shape)
-        for k in range(n - d + e - 1, lo - 1, -1):
-            acc = eta[k + 1 - lo:]
-            acc *= (xs[k + 1:] - xs[k]) * vn
-            np.subtract(1.0, acc, out=acc)
-        eta *= (-1.0 if lo % 2 else 1.0) * weights.upper_lead.reshape(col) * vn
+    # node j < d takes the steps k = max(j, d-e)+1 .. d-1, upward
+    w0 = 1.0 / (x - nodes.a)
+    zeta = np.ones(shape)
+    for k in range(d - e + 1, d):
+        acc = zeta[:k]
+        acc *= (xs[:k] - xs[k]) * w0
+        np.subtract(1.0, acc, out=acc)
+    zeta *= -weights.lower_lead.reshape(col) * w0
+    # node j = lo + i takes the steps k = min(j, n-d+e)-1 .. lo, downward
+    lo = n - d + 1
+    vn = 1.0 / (x - nodes.b)
+    eta = np.ones(shape)
+    for k in range(n - d + e - 1, lo - 1, -1):
+        acc = eta[k + 1 - lo:]
+        acc *= (xs[k + 1:] - xs[k]) * vn
+        np.subtract(1.0, acc, out=acc)
+    eta *= (-1.0 if lo % 2 else 1.0) * weights.upper_lead.reshape(col) * vn
     return zeta, eta
+
+
+def _end_rows(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams,
+              x, j0, j1, g):
+    # c_j(x) of the end nodes j0 <= j < j1 at the off-node points x (1-D),
+    # one reused row per node: zeta_eta's steps for node j alone, in the
+    # same order, give end_coefs' bits; g is scratch, free between rows
+    d, e, n = params.d, params.e, nodes.n
+    lo = n - d + 1
+    xl = {k: float(nodes.xs[k]) for k in (*range(d), *range(lo, n + 1))}
+    if np.any(x == nodes.a) or np.any(x == nodes.b):
+        raise ValueError("evaluation at an endpoint: snap to the node instead")
+    w0 = 1.0 / (x - nodes.a) if j0 < d else None
+    vn = 1.0 / (x - nodes.b) if j1 > lo else None
+    z = np.empty(x.size)
+    u = np.empty(x.size) if max(j0, lo) < min(j1, d) else z
+    lower = (-weights.lower_lead).tolist()
+    upper = ((-1.0 if lo % 2 else 1.0) * weights.upper_lead).tolist()
+
+    def horner(row, p, j, ks, lead):
+        # row = 1 - row * g, g = p * (x_j - x_k), for k in ks from row = 1
+        # (the first step is 1 - g, as 1.0 * g == g), then row *= p * lead
+        if not ks:
+            return np.multiply(p, lead, out=row)
+        np.subtract(1.0, np.multiply(p, xl[j] - xl[ks[0]], out=row), out=row)
+        for k in ks[1:]:
+            row *= np.multiply(p, xl[j] - xl[k], out=g)
+            np.subtract(1.0, row, out=row)
+        row *= np.multiply(p, lead, out=g)
+        return row
+
+    for j in range(j0, j1):
+        c = float(weights.fh[j])        # a node in both blocks: lower first
+        if j < d:
+            ks = range(max(j + 1, d - e + 1), d)
+            c = np.add(horner(z, w0, j, ks, lower[j]), c, out=z)
+        if j >= lo:
+            ks = range(min(j - 1, n - d + e - 1), lo - 1, -1)
+            c = np.add(horner(u, vn, j, ks, upper[j - lo]), c, out=u)
+        yield c
 
 
 def end_coefs(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
@@ -205,10 +241,8 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
     ``(h, m)`` block of terms under a row holding the running sums, and
     :func:`_reduce` adds its rows in node order (a single point's block
     too, with one column). A larger batch, or a compensated one, takes one
-    node per step (``h = 1``) and updates its running sums in place: the
-    interior nodes over the whole batch, each end's nodes over blocks of
-    ``_END_BLOCK`` points, that end's rows formed per block just before
-    its steps (ends that share nodes leave no interior: a block takes all).
+    node per step (``h = 1``) and updates its running sums in place; an
+    end node's row is formed just before its step by :func:`_end_rows`.
     Either way each sum sees the same adds in the same order.
     """
     m, size = x.size, xs.size
@@ -219,40 +253,20 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
         cn, cd = (np.zeros(m), np.zeros(m)) if compensated else (None, None)
         xl = xs.tolist()
         yl = ys.tolist() if ys is not None else None
-
-        def steps(k0, s, coefs):
-            # nodes k0, k0 + 1, ... with coefficients coefs at the points x[s]
-            xb, nb, db = x[s], num[s], den[s]
-            kn, kd = (None, None) if cn is None else (cn[s], cd[s])
-            t, v = np.empty((2, xb.size))
-            for k, ck in enumerate(coefs, k0):
-                np.subtract(xb, xl[k], out=t)
-                np.divide(ck, t, out=t)
-                if col is None:
-                    _add(nb, np.absolute(t, out=v) if yl is None
-                         else np.multiply(t, yl[k], out=v), kn)
-                elif k == col:
-                    nb[...] = t
-                _add(db, t, kd)
-
-        def rows(s, side):
-            # c_k(x[s]) of one end's nodes, for ends that share no node
-            r = zeta_eta(*ends, x[s], side)[side == "upper"]
-            fh = ends[0].fh[:, None]
-            r += fh[:nl] if side == "lower" else fh[lo:]
-            return r
-
-        blocks = [slice(s, s + _END_BLOCK) for s in range(0, m, _END_BLOCK)]
-        if lo < nl:
-            for s in blocks:
-                lower, upper = end_coefs(*ends, x[s])
-                steps(0, s, [*lower, *upper[nl - lo:]])
-            return num, den
-        for s in blocks if nl else ():
-            steps(0, s, rows(s, "lower"))
-        steps(nl, slice(None), w[nl:lo].tolist())
-        for s in blocks if nl else ():
-            steps(lo, s, rows(s, "upper"))
+        t, v = np.empty((2, m))
+        coefs = w[nl:lo].tolist()
+        if nl:                          # ends that share nodes leave no interior
+            coefs = chain(_end_rows(*ends, x, 0, nl, t), coefs,
+                          _end_rows(*ends, x, max(lo, nl), size, t))
+        for k, ck in enumerate(coefs):
+            np.subtract(x, xl[k], out=t)
+            np.divide(ck, t, out=t)
+            if col is None:
+                _add(num, np.absolute(t, out=v) if yl is None
+                     else np.multiply(t, yl[k], out=v), cn)
+            elif k == col:
+                num[...] = t
+            _add(den, t, cd)
         return num, den
     h = min(_BLOCK // max(m, 1), size)
     xc, wc = xs[:, None], w[:, None]
@@ -318,7 +332,7 @@ def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
         off = snap < 0
         res = np.take(at_nodes, snap, out=out[s:s + block.size])
         if off.any():
-            res[off] = off_nodes(block[off])
+            res[off] = off_nodes(block if off.all() else block[off])
     return out.reshape(xv.shape)
 
 

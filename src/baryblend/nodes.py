@@ -107,14 +107,19 @@ class NodeSet:
     def snap_indices(self, x):
         """Vectorized :meth:`snap_index`: array of node indices, -1 for none."""
         x = np.asarray(x, dtype=float)
-        xs = self.xs
-        i = np.searchsorted(xs, x)
-        lo = np.maximum(i - 1, 0)
-        hi = np.minimum(i, self.n)
-        nearest = np.where(np.abs(x - xs[lo]) <= np.abs(x - xs[hi]), lo, hi)
-        h = self.reference_spacing()
-        tol = 4.0 * _EPS * np.maximum(np.abs(xs[nearest]), h)
-        return np.where(np.abs(x - xs[nearest]) <= tol, nearest, -1)
+        xv, xs = x.reshape(-1), self.xs
+        hi = np.searchsorted(xs, xv)
+        lo = np.maximum(hi - 1, 0)
+        np.minimum(hi, self.n, out=hi)
+        dl, dh = xs[lo], xs[hi]
+        np.abs(np.subtract(xv, dl, out=dl), out=dl)
+        np.abs(np.subtract(xv, dh, out=dh), out=dh)
+        np.copyto(hi, lo, where=dl <= dh)   # hi: the nearer node
+        del lo
+        dist, tol = np.minimum(dl, dh, out=dl), np.take(xs, hi, out=dh)
+        np.maximum(np.abs(tol, out=tol), self.reference_spacing(), out=tol)
+        tol *= 4.0 * _EPS
+        return np.where(dist <= tol, hi, -1).reshape(x.shape)
 
     def __len__(self):
         return self.n + 1

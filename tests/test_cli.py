@@ -130,6 +130,16 @@ class TestScan:
         row = [ln for ln in lines if ln.startswith("8,0,1,")][0]
         assert row == "8,0,1,NA,NA,NA,NA,NA"
 
+    def test_negative_dmax_or_emax_exits_2(self, capsys):
+        # range(0) would leave a header-only CSV
+        for flags in (["--dmax", "-1", "--emax", "2"],
+                      ["--dmax", "2", "--emax", "-1"]):
+            code, out, err = run_cli(["scan", "--n", "8", *flags,
+                                      "--grid", "501"], capsys)
+            assert (code, out) == (2, "")
+            assert err == ("error: d and e must be non-empty ranges of "
+                           "integers >= 0\n")
+
     def test_seeded_scan_records_noise_columns(self, capsys):
         code, out, _ = run_cli(
             ["scan", "--n", "8", "--dmax", "2", "--emax", "0",
@@ -161,6 +171,27 @@ class TestConverge:
             ["converge", "--configs", "spl1ne", "--grid", "501"], capsys)
         assert code == 2
         assert "bad config" in err
+
+    def test_nmax_below_the_first_default_n_exits_2(self, capsys):
+        code, out, err = run_cli(["converge", "--configs", "cheb", "--nmax",
+                                  "9", "--grid", "501"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --nmax must be >= 10\n"
+
+    def test_empty_n_list_token_exits_2(self, capsys):
+        for text in ("8,,9", "8,", ""):
+            code, out, err = run_cli(["converge", "--configs", "cheb",
+                                      "--n-list", text, "--grid", "501"], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: empty n in --n-list {text!r}\n"
+
+    def test_config_with_missing_field_exits_2(self, capsys):
+        for token in ("ext:3", "ext:3,1,2", "fh:", "cheb:", "fh:x"):
+            code, out, err = run_cli(["converge", "--configs", token,
+                                      "--n-list", "8", "--grid", "501"], capsys)
+            assert (code, out) == (2, "")
+            assert err == (f"error: bad config {token!r}; expected fh:D, "
+                           "ext:D,E, cheb or spline\n")
 
     def test_infinite_interval_gives_one_line(self):
         # refused before the Chebyshev nodes are formed, so numpy's

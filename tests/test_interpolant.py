@@ -399,12 +399,15 @@ class TestKernel:
         (20, 14, 4), (26, 14, 4),           # the end blocks overlap
         (27, 14, 4),                        # they touch: no interior
         (28, 14, 4), (1000, 14, 4), (64, 12, 12),
+        (4, 4, 4),                          # every node in both end blocks
+        (30, 10, 1),                        # end nodes with no Horner step
+        (30, 10, 10),                       # e = d
     ])
     def test_large_batches_match_small_slices(self, n, d, e, rng):
-        # a batch of 1024 points or more steps its interior nodes over
-        # chunks of up to 32,768 points and its end nodes over blocks of
-        # 4,096; slices under 1,024 points take node blocks, and scalars
-        # one-column blocks: every batch size must give the same bits
+        # a batch of 1024 points or more steps one node at a time over
+        # chunks of up to 32,768 points, each end node's row formed just
+        # before its step; slices under 1,024 points take node blocks, and
+        # scalars one-column blocks: every batch size must give the same bits
         r = kernel_case(n, d, e, rng)
         rc = Interpolant(r.nodes, r.ys, d, e, compensated=True)
         x = rng.uniform(-1.1, 1.1, 33_000)
@@ -424,8 +427,8 @@ class TestKernel:
         assert_large_batches_match(cheb, x)
 
     def test_large_batch_memory_stays_per_block(self, rng):
-        # the (d, m) end rows of a 32,768-point chunk, formed at once,
-        # would peak near 12 MiB
+        # a 32,768-point chunk holds one row per running sum and a few per
+        # end node, never (d, m) end rows, which would peak near 12 MiB
         r = kernel_case(1000, 14, 4, rng)
         x = rng.uniform(-1.0, 1.0, 32768)
         tracemalloc.start()
@@ -482,6 +485,20 @@ class TestKernel:
         for v in (r.nodes.a, r.nodes.b):
             with pytest.raises(ValueError, match="endpoint"):
                 end_coefs(r.weights, r.nodes, r.params, np.array([v]))
+
+    def test_sweep_refuses_an_endpoint(self, rng):
+        # a batch of _SWEEP_MIN points or more forms its end rows node by
+        # node, not through zeta_eta, and must refuse an endpoint as it does
+        r = kernel_case(30, 10, 4, rng)
+        ends = (r.weights, r.nodes, r.params)
+        for v in (r.nodes.a, r.nodes.b):
+            for m, compensated in ((_SWEEP_MIN, False), (5000, False),
+                                   (8, True)):
+                x = rng.uniform(-0.9, 0.9, m)
+                x[m // 2] = v
+                with pytest.raises(ValueError, match="evaluation at an endpoint"):
+                    term_sums(r.nodes.xs, r.weights.fh, x, r.ys, ends,
+                              compensated=compensated)
 
     def test_empty_batch(self, rng):
         r = kernel_case(30, 10, 4, rng)
