@@ -78,7 +78,8 @@ class GridSpec:
 
     ``per_subinterval``, when set, switches to a node-relative grid with
     that many uniform points per node gap (used by the Lebesgue-constant
-    search). Both must be integral (``3.0`` counts as ``3``).
+    search), which :meth:`points` refuses without the nodes. Both must be
+    integral (``3.0`` counts as ``3``).
     """
     count: int = 100_001
     per_subinterval: Optional[int] = None
@@ -95,21 +96,23 @@ class GridSpec:
             object.__setattr__(self, "per_subinterval", k)
 
     def points(self, a, b, nodes: NodeSet | None = None):
-        if self.per_subinterval is not None and nodes is not None:
-            # np.linspace(x_i, x_{i+1}, k + 1)[:-1] for every gap at once,
-            # with its arithmetic per row: i * (gap / k) + x_i, or
-            # i / k * gap + x_i for a row whose step underflows to 0
-            k, xs = self.per_subinterval, nodes.xs
-            gap = xs[1:] - xs[:-1]
-            step = gap / k
-            i = np.arange(k, dtype=float)
-            grid = step[:, None] * i
-            flat = step == 0.0
-            if flat.any():
-                grid[flat] = gap[flat, None] * (i / k)
-            grid += xs[:-1, None]
-            return np.append(grid.ravel(), nodes.b)
-        return np.linspace(a, b, self.count)
+        if self.per_subinterval is None:
+            return np.linspace(a, b, self.count)
+        if nodes is None:
+            raise ValueError("a per_subinterval grid needs the nodes")
+        # np.linspace(x_i, x_{i+1}, k + 1)[:-1] for every gap at once,
+        # with its arithmetic per row: i * (gap / k) + x_i, or
+        # i / k * gap + x_i for a row whose step underflows to 0
+        k, xs = self.per_subinterval, nodes.xs
+        gap = xs[1:] - xs[:-1]
+        step = gap / k
+        i = np.arange(k, dtype=float)
+        grid = step[:, None] * i
+        flat = step == 0.0
+        if flat.any():
+            grid[flat] = gap[flat, None] * (i / k)
+        grid += xs[:-1, None]
+        return np.append(grid.ravel(), nodes.b)
 
 
 # -- error measurement --------------------------------------------------
@@ -151,10 +154,14 @@ def lebesgue_function(nodes: NodeSet, params: ExtParams, x,
     """Sum of absolute basis-function values at ``x`` (scalar or array).
 
     Equals 1 exactly at nodes; at least 1 everywhere (the basis functions
-    sum to one).
+    sum to one). ``weights`` built for other nodes or parameters are
+    refused.
     """
     if weights is None:
         weights = PrecomputedWeights(nodes, params)
+    elif not (params == weights.params and (
+            nodes is weights.nodes or np.array_equal(nodes.xs, weights.nodes.xs))):
+        raise ValueError("weights were built for other nodes or parameters")
 
     def off_nodes(xo):
         abssum, den = term_sums(nodes.xs, weights.fh, xo,

@@ -9,32 +9,29 @@ corrections), and the interpolant is the ratio
 
 With ``e = 0`` the corrections vanish and this is the classical
 Floater-Hormann form (Floater & Hormann 2007, Numer. Math. 107). Only the
-``d`` nodes at each end carry corrections, evaluated in O(e) arithmetic
-each by a nested Horner recurrence, so one evaluation costs O(n + d*e)
-after precomputation.
+``d`` nodes at each end carry corrections, by one nested Horner recurrence
+that each end runs counted from its endpoint inward (:func:`zeta_eta`),
+O(e) arithmetic per node, so one evaluation costs O(n + d*e).
 
 One kernel, :func:`term_sums`, forms the terms and sums them; values, basis
-functions and the Lebesgue function are reductions of its sums. It walks
-the nodes in blocks, carrying the running sums of every point from one
-block to the next. A batch of ``m`` points under a fixed size takes about
-``8192 / m`` nodes per block, so that it costs a fixed number of numpy
-calls per block, not per node; ``np.add.reduce`` over axis 0 adds the rows
-of a block in node order. A single point snaps through
-:meth:`NodeSet.snap_index` and is a block with one column, which numpy
-would sum pairwise, so a block with one column reduces with the sequential
-``np.add.accumulate`` instead; its ``2d`` end coefficients are formed on
-Python floats, in the order a batch forms them with numpy. A larger batch
-takes one node per step and updates its running sums in place, each end
-node's row formed by its own Horner chain just before its step. Every
-path adds the terms strictly left to right in node order, starting from
-0.0, so the scalar and vectorized paths produce bit-identical results.
-Optional two-term (Kahan) compensation is available behind a flag; a
-compensated batch of any size takes one node per step.
+functions and the Lebesgue function are reductions of its sums. It runs
+the recurrence in three forms, each the fastest measured in its regime:
+a batch of ``2 <= m < 1024`` points takes about ``8192 / m`` nodes per
+block and runs an end's ``d`` recurrences side by side (a chain per node
+was 5-7x slower at 32 points); a single point forms its ``2d`` end
+coefficients on Python floats, where numpy's fixed cost per call would
+dominate (a float chain per node took 47 against 31 us); a larger or a
+compensated batch takes one node per step, each end node's row formed by
+its own chain just before its step, contiguous rows times floats at a
+third of the block form's cost per element. Every path adds the terms
+strictly left to right in node order from 0.0 (a one-column block with
+the sequential ``np.add.accumulate``, as numpy would sum it pairwise), so
+the scalar and vectorized paths produce bit-identical results. Optional
+two-term (Kahan) compensation is available behind a flag.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,88 +57,95 @@ class EvalOutcome(NamedTuple):
     at_node: Optional[int]
 
 
-def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
-    """End-correction functions at ``x``, a scalar or a 1-D array, for
-    ``e >= 1`` (with ``e = 0`` there are no corrections).
+def _ends(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
+    # each end as (endpoint, its d nodes from the endpoint inward, their
+    # leads, the leads' sign): the upper end's node n - i and step n - k
+    # are then the lower end's node i and step k, with the same difference
+    # x_i - x_k, so one recurrence serves both; x is a 1-D array, or a
+    # list of one float
+    if nodes.a in x or nodes.b in x:
+        raise ValueError("evaluation at an endpoint: snap to the node instead")
+    d = params.d
+    return ((nodes.a, nodes.xs[:d], weights.lower_lead, -1.0),
+            (nodes.b, nodes.xs[::-1][:d], weights.upper_lead[::-1],
+             -1.0 if (nodes.n + 1 - d) % 2 else 1.0))
 
-    Returns ``(zeta, eta)``, each of shape ``(d,) + x.shape``: ``zeta[j]``
+
+def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
+    """End-correction functions at the points ``x`` (1-D), for ``e >= 1``
+    (with ``e = 0`` there are no corrections).
+
+    Returns ``(zeta, eta)``, each of shape ``(d, x.size)``: ``zeta[j]``
     for nodes ``j = 0 .. d-1`` and ``eta[k]`` for nodes
     ``j = n-d+1+k .. n``. The values carry the same common factor as the
     stored node weights.
 
-    The Horner recurrences of the ``d`` nodes at one end run side by side:
-    each step updates the nodes whose recurrence contains it, so every node
-    sees its own steps in its own order.
+    Both ends run one Horner recurrence, each indexed from its endpoint
+    inward (the upper end's node ``n - i`` is its node ``i``): node ``i``
+    takes the steps ``k = max(i+1, d-e+1) .. d-1`` upward, each
+    ``z = 1 - z * ((x_i - x_k) * p)`` from ``z = 1``, with
+    ``p = 1 / (x - endpoint)``, and ends with ``z * (l_i * p)``, ``l_i`` its
+    signed lead. Here the ``d`` nodes of one end run side by side: each
+    step updates the nodes whose recurrence contains it. ``eta`` is the
+    upper end's result, reversed back into node order.
 
     ``x`` must not equal an endpoint (powers of ``x - x_0`` and
     ``x - x_n`` are formed); callers snap node-coincident points first.
     """
     d, e = params.d, params.e
-    n = nodes.n
-    x = np.asarray(x, dtype=float)
-    shape = (d,) + x.shape
-    if np.any(x == nodes.a) or np.any(x == nodes.b):
-        raise ValueError("evaluation at an endpoint: snap to the node instead")
-    col = (-1,) + (1,) * x.ndim
-    xs = nodes.xs.reshape(col)
-    # node j < d takes the steps k = max(j, d-e)+1 .. d-1, upward
-    w0 = 1.0 / (x - nodes.a)
-    zeta = np.ones(shape)
-    for k in range(d - e + 1, d):
-        acc = zeta[:k]
-        acc *= (xs[:k] - xs[k]) * w0
-        np.subtract(1.0, acc, out=acc)
-    zeta *= -weights.lower_lead.reshape(col) * w0
-    # node j = lo + i takes the steps k = min(j, n-d+e)-1 .. lo, downward
-    lo = n - d + 1
-    vn = 1.0 / (x - nodes.b)
-    eta = np.ones(shape)
-    for k in range(n - d + e - 1, lo - 1, -1):
-        acc = eta[k + 1 - lo:]
-        acc *= (xs[k + 1:] - xs[k]) * vn
-        np.subtract(1.0, acc, out=acc)
-    eta *= (-1.0 if lo % 2 else 1.0) * weights.upper_lead.reshape(col) * vn
-    return zeta, eta
+    out = []
+    for end, xe, lead, sign in _ends(weights, nodes, params, x):
+        p = 1.0 / (x - end)
+        xe = xe[:, None]
+        z = np.ones((d, x.size))
+        for k in range(d - e + 1, d):
+            acc = z[:k]
+            acc *= (xe[:k] - xe[k]) * p
+            np.subtract(1.0, acc, out=acc)
+        z *= (sign * lead)[:, None] * p
+        out.append(z)
+    return out[0], out[1][::-1]
 
 
-def _end_rows(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams,
-              x, j0, j1, g):
-    # c_j(x) of the end nodes j0 <= j < j1 at the off-node points x (1-D),
-    # one reused row per node: zeta_eta's steps for node j alone, in the
-    # same order, give end_coefs' bits; g is scratch, free between rows
+def _end_rows(w, x, ends, g):
+    # c_k(x) of every node k in node order for the sweep: the float w[k],
+    # or an end node's row, formed by zeta_eta's steps for that node alone
+    # in one row per end reused from node to node; g is scratch
+    weights, nodes, params = ends
     d, e, n = params.d, params.e, nodes.n
-    lo = n - d + 1
-    xl = {k: float(nodes.xs[k]) for k in (*range(d), *range(lo, n + 1))}
-    if np.any(x == nodes.a) or np.any(x == nodes.b):
-        raise ValueError("evaluation at an endpoint: snap to the node instead")
-    w0 = 1.0 / (x - nodes.a) if j0 < d else None
-    vn = 1.0 / (x - nodes.b) if j1 > lo else None
-    z = np.empty(x.size)
-    u = np.empty(x.size) if max(j0, lo) < min(j1, d) else z
-    lower = (-weights.lower_lead).tolist()
-    upper = ((-1.0 if lo % 2 else 1.0) * weights.upper_lead).tolist()
+    sides = _ends(weights, nodes, params, x)
 
-    def horner(row, p, j, ks, lead):
-        # row = 1 - row * g, g = p * (x_j - x_k), for k in ks from row = 1
-        # (the first step is 1 - g, as 1.0 * g == g), then row *= p * lead
-        if not ks:
-            return np.multiply(p, lead, out=row)
-        np.subtract(1.0, np.multiply(p, xl[j] - xl[ks[0]], out=row), out=row)
-        for k in ks[1:]:
-            row *= np.multiply(p, xl[j] - xl[k], out=g)
-            np.subtract(1.0, row, out=row)
-        row *= np.multiply(p, lead, out=g)
-        return row
+    def rows(js):
+        # an end's row and p = 1/(x - endpoint) live while js holds its nodes
+        chains = {s: (1.0 / (x - end), xe.tolist(), (sign * lead).tolist(),
+                      np.empty(x.size))
+                  for s, (end, xe, lead, sign) in enumerate(sides)
+                  if (js[0], n - js[-1])[s] < d}
+        for j in js:
+            c = float(weights.fh[j])    # a node in both ends: lower first
+            for s, i in ((0, j), (1, n - j)):
+                if i >= d:
+                    continue
+                p, xe, lead, z = chains[s]
+                # z = 1 - z * g, g = p * (x_i - x_k), for the steps k from
+                # z = 1 (the first step is 1 - g, as 1.0 * g == g)
+                ks = range(max(i + 1, d - e + 1), d)
+                if ks:
+                    np.multiply(p, xe[i] - xe[ks[0]], out=z)
+                    np.subtract(1.0, z, out=z)
+                    for k in ks[1:]:
+                        z *= np.multiply(p, xe[i] - xe[k], out=g)
+                        np.subtract(1.0, z, out=z)
+                    z *= np.multiply(p, lead[i], out=g)
+                else:
+                    np.multiply(p, lead[i], out=z)
+                c = np.add(z, c, out=z)
+            yield c
 
-    for j in range(j0, j1):
-        c = float(weights.fh[j])        # a node in both blocks: lower first
-        if j < d:
-            ks = range(max(j + 1, d - e + 1), d)
-            c = np.add(horner(z, w0, j, ks, lower[j]), c, out=z)
-        if j >= lo:
-            ks = range(min(j - 1, n - d + e - 1), lo - 1, -1)
-            c = np.add(horner(u, vn, j, ks, upper[j - lo]), c, out=u)
-        yield c
+    # the interior list is formed once the lower end's rows are freed
+    yield from rows(range(d))
+    yield from w[d:n + 1 - d].tolist()
+    yield from rows(range(max(n + 1 - d, d), n + 1))
 
 
 def end_coefs(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
@@ -153,54 +157,37 @@ def end_coefs(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x)
     same value in each, its lower correction added first. ``None`` when
     ``e = 0``, where every coefficient is the constant ``fh[j]``.
 
-    A batch runs the Horner recurrences in :func:`zeta_eta`. A single point
-    takes the same steps in the same order on lists of Python floats, whose
-    ``+ - * /`` round as numpy's do, so it gets the bits it gets in any
-    batch, without numpy's fixed cost per call on ``d``-element arrays.
+    A batch runs :func:`zeta_eta`; a single point takes the same steps in
+    the same order on Python floats, whose ``+ - * /`` round as numpy's do.
     """
     if params.e == 0:
         return None
-    if x.size == 1:
-        return _point_end_coefs(weights, nodes, params, float(x[0]))
-    d, fh = params.d, weights.fh
-    lower, upper = zeta_eta(weights, nodes, params, x)
-    both = max(2 * d - nodes.n - 1, 0)      # nodes in both end blocks
-    lower += fh[:d, None]
-    upper[:both] += lower[d - both:]
-    upper[both:] += fh[nodes.n + 1 - d + both:, None]
-    lower[d - both:] = upper[:both]
-    return lower, upper
-
-
-def _point_end_coefs(weights: PrecomputedWeights, nodes: NodeSet,
-                     params: ExtParams, x):
-    # end_coefs at one float x, shaped (d, 1): zeta_eta's steps on lists
-    d, e, n = params.d, params.e, nodes.n
-    if x == nodes.a or x == nodes.b:
-        raise ValueError("evaluation at an endpoint: snap to the node instead")
-    lo = n - d + 1
-    xl, xu = nodes.xs[:d].tolist(), nodes.xs[lo:].tolist()
-    w0 = 1.0 / (x - nodes.a)
-    zeta = [1.0] * d
-    for k in range(d - e + 1, d):
-        xk = xl[k]
-        zeta[:k] = [1.0 - a * ((xj - xk) * w0) for a, xj in zip(zeta, xl[:k])]
-    vn = 1.0 / (x - nodes.b)
-    eta = [1.0] * d
-    for k in range(e - 2, -1, -1):      # zeta_eta's step lo + k
-        xk = xu[k]
-        eta[k + 1:] = [1.0 - a * ((xj - xk) * vn)
-                       for a, xj in zip(eta[k + 1:], xu[k + 1:])]
-    sign = -1.0 if lo % 2 else 1.0
-    fh = weights.fh
-    lower = [z * (-lead * w0) + f for z, lead, f in
-             zip(zeta, weights.lower_lead.tolist(), fh[:d].tolist())]
-    # a node in both blocks adds its upper correction to its lower value
-    both = max(2 * d - n - 1, 0)
-    rest = lower[d - both:] + fh[lo + both:].tolist()
-    upper = [h * ((sign * lead) * vn) + f for h, lead, f in
-             zip(eta, weights.upper_lead.tolist(), rest)]
-    lower[d - both:] = upper[:both]
+    d, e, n, fh = params.d, params.e, nodes.n, weights.fh
+    lo = n + 1 - d                          # nodes lo .. d-1 are in both ends
+    if x.size != 1:
+        lower, upper = zeta_eta(weights, nodes, params, x)
+        both = max(d - lo, 0)
+        lower += fh[:d, None]
+        upper[:both] += lower[d - both:]
+        upper[both:] += fh[lo + both:, None]
+        lower[d - both:] = upper[:both]
+        return lower, upper
+    out, x = [], x.tolist()
+    for end, xe, lead, sign in _ends(weights, nodes, params, x):
+        if out:     # the upper end: a node in both adds to its lower value
+            base = fh[:n - d:-1].tolist()
+            base[lo:] = out[0][lo:][::-1]
+        else:
+            base = fh[:d].tolist()
+        xe, p = xe.tolist(), 1.0 / (x[0] - end)
+        z = [1.0] * d
+        for k in range(d - e + 1, d):
+            xk = xe[k]
+            z[:k] = [1.0 - a * ((xi - xk) * p) for a, xi in zip(z, xe[:k])]
+        out.append([a * ((sign * c) * p) + f
+                    for a, c, f in zip(z, lead.tolist(), base)])
+    lower, upper = out[0], out[1][::-1]
+    lower[lo:] = upper[:max(d - lo, 0)]
     ends = np.array((lower, upper))[:, :, None]
     return ends[0], ends[1]
 
@@ -236,14 +223,12 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
     ``num`` is ``sum_k |t_k|`` instead; with ``col=j`` it is ``t_j``.
     ``compensated`` adds every sum with two-term (Kahan) compensation.
 
-    The nodes are taken ``h`` at a time. A batch of ``m < _SWEEP_MIN``
-    points takes ``h = _BLOCK // m`` nodes per step: a few ufuncs form the
-    ``(h, m)`` block of terms under a row holding the running sums, and
-    :func:`_reduce` adds its rows in node order (a single point's block
-    too, with one column). A larger batch, or a compensated one, takes one
-    node per step (``h = 1``) and updates its running sums in place; an
-    end node's row is formed just before its step by :func:`_end_rows`.
-    Either way each sum sees the same adds in the same order.
+    A batch of ``m < _SWEEP_MIN`` points takes ``h = _BLOCK // m`` nodes
+    per step: a few ufuncs form the ``(h, m)`` block of terms under a row
+    holding the running sums, and :func:`_reduce` adds its rows in node
+    order. A larger batch, or a compensated one, takes one node per step,
+    its coefficients from :func:`_end_rows`, and updates its running sums
+    in place. Either way each sum sees the same adds in the same order.
     """
     m, size = x.size, xs.size
     nl = ends[2].d if ends is not None and ends[2].e else 0
@@ -254,10 +239,7 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
         xl = xs.tolist()
         yl = ys.tolist() if ys is not None else None
         t, v = np.empty((2, m))
-        coefs = w[nl:lo].tolist()
-        if nl:                          # ends that share nodes leave no interior
-            coefs = chain(_end_rows(*ends, x, 0, nl, t), coefs,
-                          _end_rows(*ends, x, max(lo, nl), size, t))
+        coefs = _end_rows(w, x, ends, t) if nl else w.tolist()
         for k, ck in enumerate(coefs):
             np.subtract(x, xl[k], out=t)
             np.divide(ck, t, out=t)

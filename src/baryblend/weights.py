@@ -195,6 +195,8 @@ class PrecomputedWeights:
     lower, upper : list of ndarray
         The same rows as one-row lists (empty when ``e = 0``), which the
         benchmark's span tracer counts.
+    nodes, params : NodeSet, ExtParams
+        What the weights were built for.
 
     Every stored family carries the same common factor. For general nodes
     the geometric mean of the weight magnitudes is divided out of all of
@@ -204,7 +206,7 @@ class PrecomputedWeights:
 
     def __init__(self, nodes: NodeSet, params: ExtParams):
         params.validate(nodes)
-        self.e = params.e
+        self.nodes, self.params, self.e = nodes, params, params.e
         # out-of-range values are refused below, not reported as warnings
         with np.errstate(all="ignore"):
             try:

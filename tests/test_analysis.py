@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from baryblend import (ChebyshevBaseline, CubicSplineBaseline, ExtParams,
-                       GridSpec, Interpolant, NodeSet, NoiseSpec, add_noise,
-                       converge_n, error_report, gaussian_deviates,
-                       get_function, lebesgue_constant, lebesgue_function,
-                       scan_de)
+                       GridSpec, Interpolant, NodeSet, NoiseSpec,
+                       PrecomputedWeights, add_noise, converge_n, error_report,
+                       gaussian_deviates, get_function, lebesgue_constant,
+                       lebesgue_function, scan_de)
 from baryblend.analysis import (converge_csv, runge_error_table,
                                 runge_table_csv, scan_csv)
 
@@ -94,6 +94,15 @@ class TestGridSpec:
         want = GridSpec(2, per_subinterval=3).points(0, 1, nodes)
         assert np.array_equal(pts, want)
 
+    def test_per_subinterval_without_nodes_refused(self):
+        # without nodes such a grid was the two endpoints alone, which
+        # measured a sup error of 1.0 on Runge's function as 0.0385
+        grid = GridSpec(2, per_subinterval=10)
+        with pytest.raises(ValueError, match="needs the nodes"):
+            grid.points(-5.0, 5.0)
+        with pytest.raises(ValueError, match="needs the nodes"):
+            error_report(lambda x: 0 * x, get_function("runge"), grid)
+
     def test_count_too_small(self):
         with pytest.raises(ValueError):
             GridSpec(1)
@@ -105,6 +114,32 @@ class TestGridSpec:
 
 
 class TestLebesgue:
+    def test_weights_for_other_nodes_refused(self):
+        # they used to give 1.0 at a scalar and numpy's broadcast error
+        # for an array
+        nodes, params = NodeSet.equispaced(-1, 1, 20), ExtParams(6, 2)
+        other = PrecomputedWeights(NodeSet.equispaced(-1, 1, 30), params)
+        for x in (0.3, np.array([0.3, 0.5])):
+            with pytest.raises(ValueError, match="other nodes"):
+                lebesgue_function(nodes, params, x, other)
+
+    def test_weights_for_other_params_refused(self):
+        # e = 0 weights have no end rows: an AttributeError traceback
+        nodes, params = NodeSet.equispaced(-1, 1, 20), ExtParams(6, 2)
+        other = PrecomputedWeights(nodes, ExtParams(6, 0))
+        with pytest.raises(ValueError, match="other nodes or parameters"):
+            lebesgue_function(nodes, params, 0.3, other)
+
+    def test_weights_for_equal_nodes_accepted(self):
+        # equal nodes and parameters fit as the objects themselves do
+        weights = PrecomputedWeights(NodeSet.equispaced(-1, 1, 20),
+                                     ExtParams(6, 2))
+        x = np.array([-0.93, 0.3])
+        want = lebesgue_function(weights.nodes, weights.params, x, weights)
+        got = lebesgue_function(NodeSet(weights.nodes.xs), ExtParams(6, 2),
+                                x, weights)
+        assert np.array_equal(got, want)
+
     def test_one_at_nodes(self):
         nodes = NodeSet.equispaced(-1, 1, 12)
         params = ExtParams(4, 2)
