@@ -9,6 +9,10 @@ the two points one ulp outside the snap radius of the endpoints, where the
 end corrections of (40,24,24) and (40,30,22) overflow to NaN. A change to
 the kernel that keeps every operand and its order keeps every digest.
 
+Runge's :class:`ChebyshevBaseline` at n = 64 and 1,000 is pinned the same
+way: its scalar calls and the same batch sizes, nodes included, all on
+the one barycentric kernel with constant weights.
+
 NaN is hashed as one fixed pattern, since the sign of the default NaN
 differs between CPU families. The nodes and weights are hashed on their
 own first: log-perturbed nodes and the general-node weight normaliser
@@ -22,7 +26,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from baryblend import Interpolant, NodeSet, lebesgue_function
+from baryblend import (ChebyshevBaseline, Interpolant, NodeSet, get_function,
+                       lebesgue_function)
 
 from .conftest import log_perturbed_nodes
 
@@ -91,3 +96,23 @@ def test_golden_bits(case):
         out.append([r.eval(v).value for x in batches for v in x[:40]])
     assert (inputs, digest(out)) == GOLDEN[case]
 
+
+# n: (digest of nodes and samples, digest of the outputs); the weights are
+# exact (+-1 and +-1/2)
+CHEBYSHEV = {
+    64: ("308ebb0b2f6f15f7", "b1d598144a622cf1"),
+    1000: ("07c93742e6fc1944", "876ab3891680c00a"),
+}
+
+
+@pytest.mark.parametrize("n", list(CHEBYSHEV))
+def test_chebyshev_golden_bits(n):
+    cheb = ChebyshevBaseline(get_function("runge"), n)
+    rng = np.random.default_rng([n])
+    inputs = digest([cheb.nodes.xs, cheb.ys])
+    out = []
+    for m in SIZES:
+        x = rng.uniform(-5.25, 5.25, m)
+        x[::13] = cheb.nodes.xs[rng.integers(0, n + 1, x[::13].size)]
+        out += [cheb(x), [cheb(v) for v in x[:40]]]
+    assert (inputs, digest(out)) == CHEBYSHEV[n]
