@@ -78,8 +78,8 @@ class GridSpec:
 
     ``per_subinterval``, when set, switches to a node-relative grid with
     that many uniform points per node gap (used by the Lebesgue-constant
-    search), which :meth:`points` refuses without the nodes. Both must be
-    integral (``3.0`` counts as ``3``).
+    search), which :meth:`points` refuses without the nodes or on another
+    interval. Both must be integral (``3.0`` counts as ``3``).
     """
     count: int = 100_001
     per_subinterval: Optional[int] = None
@@ -100,6 +100,8 @@ class GridSpec:
             return np.linspace(a, b, self.count)
         if nodes is None:
             raise ValueError("a per_subinterval grid needs the nodes")
+        if (a, b) != (nodes.a, nodes.b):
+            raise ValueError("a per_subinterval grid spans its nodes' interval")
         # np.linspace(x_i, x_{i+1}, k + 1)[:-1] for every gap at once,
         # with its arithmetic per row: i * (gap / k) + x_i, or
         # i / k * gap + x_i for a row whose step underflows to 0
@@ -132,9 +134,9 @@ def error_report(approx, f: ReferenceFunction, grid: GridSpec) -> ErrorReport:
     rounded one element at a time and then summed correctly rounded
     (``math.fsum``), so ``l1`` has the same bits on every CPU, which
     numpy's SIMD pairwise sum does not promise. ``approx`` is any callable
-    accepting an array of points; a node-relative grid uses its ``nodes``.
+    accepting an array of points; a node-relative grid is refused.
     """
-    pts = grid.points(*f.interval, getattr(approx, "nodes", None))
+    pts = grid.points(*f.interval)
     err = np.abs(np.asarray(approx(pts)) - f(pts))
     terms = np.diff(pts) * (err[1:] + err[:-1]) / 2.0
     return ErrorReport(float(err.max()), math.fsum(terms.tolist()))
@@ -164,8 +166,7 @@ def lebesgue_function(nodes: NodeSet, params: ExtParams, x,
         raise ValueError("weights were built for other nodes or parameters")
 
     def off_nodes(xo):
-        abssum, den = term_sums(nodes.xs, weights.fh, xo,
-                                ends=(weights, nodes, params))
+        abssum, den = term_sums(weights, xo)
         return abssum / np.abs(den)
 
     return pointwise(nodes, x, np.ones(nodes.n + 1), off_nodes)
@@ -229,6 +230,8 @@ class ChebyshevBaseline:
     samples in node index order, as :func:`equispaced_samples` adds it.
     """
 
+    e = 0       # no end corrections: term_sums reads nodes and fh only
+
     def __init__(self, f: ReferenceFunction, n, noise: NoiseSpec | None = None):
         n = whole(n)
         if n is None or n < 1:
@@ -238,17 +241,16 @@ class ChebyshevBaseline:
         pts = np.cos(k * np.pi / n)[::-1]          # ascending in [-1, 1]
         xs = 0.5 * (a + b) + 0.5 * (b - a) * pts
         xs[0], xs[-1] = a, b
-        w = np.where(k % 2 == 0, 1.0, -1.0)
-        w[0] *= 0.5
-        w[-1] *= 0.5
         self.nodes = NodeSet(xs)
-        self.w = w
+        self.fh = np.where(k % 2 == 0, 1.0, -1.0)
+        self.fh[0] *= 0.5
+        self.fh[-1] *= 0.5
         ys = f(xs) if noise is None else add_noise(f(xs), noise)
         self.ys = validate_samples(ys, n + 1)
 
     def __call__(self, x):
         return pointwise(self.nodes, x, self.ys, lambda xo: np.divide(
-            *term_sums(self.nodes.xs, self.w, xo, self.ys)))
+            *term_sums(self, xo, self.ys)))
 
 
 class CubicSplineBaseline:
@@ -465,12 +467,9 @@ def runge_error_table(grid: GridSpec) -> list[RungeTableRow]:
     f = get_function("runge")
     rows = []
     for n, d_fh in RUNGE_TABLE_ROWS:
-        nodes, ys = equispaced_samples(f, n)
-        rep_fh = error_report(Interpolant(nodes, ys, d_fh, 0), f, grid)
-        d_ext, e_ext = min(14, n), 4
-        rep_ext = error_report(Interpolant(nodes, ys, d_ext, e_ext), f, grid)
-        rows.append(RungeTableRow(n, d_fh, rep_fh.linf, rep_fh.l1,
-                                  d_ext, e_ext, rep_ext.linf, rep_ext.l1))
+        fh, ext = converge_n(f, [("fh", d_fh), ("ext", min(14, n), 4)], [n], grid)
+        rows.append(RungeTableRow(n, d_fh, fh.linf, fh.l1,
+                                  ext.d, ext.e, ext.linf, ext.l1))
     return rows
 
 

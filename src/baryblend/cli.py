@@ -23,7 +23,7 @@ from .nodes import NodeSet
 from .weights import ExtParams
 
 
-def _add_common(p, need_n=True):
+def _add_common(p, need_n=True, sampled=True):
     p.add_argument("--fn", default="runge",
                    help="reference function: runge or poly:c0,c1,...")
     p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
@@ -31,11 +31,12 @@ def _add_common(p, need_n=True):
     if need_n:
         p.add_argument("--n", type=int, required=True,
                        help="number of equispaced subintervals (n+1 nodes)")
-    p.add_argument("--grid", type=int, default=100_001,
-                   help="evaluation grid point count")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="Gaussian sample-noise standard deviation")
-    p.add_argument("--seed", type=int, default=0, help="noise seed")
+    if sampled:
+        p.add_argument("--grid", type=int, default=100_001,
+                       help="evaluation grid point count")
+        p.add_argument("--sigma", type=float, default=None,
+                       help="Gaussian sample-noise standard deviation")
+        p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument("--out", help="output file (default: stdout)")
 
 
@@ -66,7 +67,7 @@ def build_parser():
     p.add_argument("--n-list", help="explicit comma-separated n values")
 
     p = sub.add_parser("lebesgue", help="Lebesgue constant for one (n, d, e)")
-    _add_common(p)
+    _add_common(p, sampled=False)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--e", type=int, default=0)
 
@@ -79,8 +80,7 @@ def build_parser():
 
 
 def _noise(args):
-    sigma = getattr(args, "sigma", None)
-    return None if sigma is None else NoiseSpec(sigma=sigma, seed=args.seed)
+    return None if args.sigma is None else NoiseSpec(args.sigma, args.seed)
 
 
 def _parse_config(token):
@@ -132,7 +132,6 @@ def _run(args):
         nodes = NodeSet.equispaced(*f.interval, args.n)
         rep = lebesgue_constant(nodes, ExtParams(args.d, args.e))
         return lebesgue_csv(args.n, args.d, args.e, rep)
-    raise ValueError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -147,7 +146,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if getattr(args, "out", None):
+        if args.out:
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)
         else:

@@ -13,9 +13,10 @@ Floater-Hormann form (Floater & Hormann 2007, Numer. Math. 107). Only the
 that each end runs counted from its endpoint inward (:func:`zeta_eta`),
 O(e) arithmetic per node, so one evaluation costs O(n + d*e).
 
-One kernel, :func:`term_sums`, forms the terms and sums them; values, basis
-functions and the Lebesgue function are reductions of its sums. It runs
-the recurrence in three forms, each the fastest measured in its regime:
+One kernel, :func:`term_sums`, forms the terms from the points and one
+:class:`PrecomputedWeights` and sums them; values, basis functions and the
+Lebesgue function are reductions of its sums. It runs the recurrence in
+three forms, each the fastest measured in its regime:
 a batch of ``2 <= m < 1024`` points takes about ``8192 / m`` nodes per
 block and runs an end's ``d`` recurrences side by side (a chain per node
 was 5-7x slower at 32 points); a single point forms its ``2d`` end
@@ -57,23 +58,23 @@ class EvalOutcome(NamedTuple):
     at_node: Optional[int]
 
 
-def _ends(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
+def _ends(weights: PrecomputedWeights, x):
     # each end as (endpoint, its d nodes from the endpoint inward, their
     # leads, the leads' sign): the upper end's node n - i and step n - k
     # are then the lower end's node i and step k, with the same difference
     # x_i - x_k, so one recurrence serves both; x is a 1-D array, or a
     # list of one float
+    nodes, d = weights.nodes, weights.params.d
     if nodes.a in x or nodes.b in x:
         raise ValueError("evaluation at an endpoint: snap to the node instead")
-    d = params.d
     return ((nodes.a, nodes.xs[:d], weights.lower_lead, -1.0),
             (nodes.b, nodes.xs[::-1][:d], weights.upper_lead[::-1],
              -1.0 if (nodes.n + 1 - d) % 2 else 1.0))
 
 
-def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
-    """End-correction functions at the points ``x`` (1-D), for ``e >= 1``
-    (with ``e = 0`` there are no corrections).
+def zeta_eta(weights: PrecomputedWeights, x):
+    """End-correction functions of ``weights`` at the points ``x`` (1-D),
+    for ``e >= 1`` (with ``e = 0`` there are no corrections).
 
     Returns ``(zeta, eta)``, each of shape ``(d, x.size)``: ``zeta[j]``
     for nodes ``j = 0 .. d-1`` and ``eta[k]`` for nodes
@@ -92,9 +93,9 @@ def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
     ``x`` must not equal an endpoint (powers of ``x - x_0`` and
     ``x - x_n`` are formed); callers snap node-coincident points first.
     """
-    d, e = params.d, params.e
+    d, e = weights.params.d, weights.e
     out = []
-    for end, xe, lead, sign in _ends(weights, nodes, params, x):
+    for end, xe, lead, sign in _ends(weights, x):
         p = 1.0 / (x - end)
         xe = xe[:, None]
         z = np.ones((d, x.size))
@@ -107,13 +108,12 @@ def zeta_eta(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
     return out[0], out[1][::-1]
 
 
-def _end_rows(w, x, ends, g):
-    # c_k(x) of every node k in node order for the sweep: the float w[k],
+def _end_rows(weights: PrecomputedWeights, x, g):
+    # c_k(x) of every node k in node order for the sweep: the float fh[k],
     # or an end node's row, formed by zeta_eta's steps for that node alone
     # in one row per end reused from node to node; g is scratch
-    weights, nodes, params = ends
-    d, e, n = params.d, params.e, nodes.n
-    sides = _ends(weights, nodes, params, x)
+    d, e, n = weights.params.d, weights.e, weights.nodes.n
+    sides = _ends(weights, x)
 
     def rows(js):
         # an end's row and p = 1/(x - endpoint) live while js holds its nodes
@@ -144,13 +144,13 @@ def _end_rows(w, x, ends, g):
 
     # the interior list is formed once the lower end's rows are freed
     yield from rows(range(d))
-    yield from w[d:n + 1 - d].tolist()
+    yield from weights.fh[d:n + 1 - d].tolist()
     yield from rows(range(max(n + 1 - d, d), n + 1))
 
 
-def end_coefs(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x):
-    """Coefficients ``c_j(x) = fh[j] + corrections`` of the end nodes at the
-    off-node points ``x`` (1-D).
+def end_coefs(weights: PrecomputedWeights, x):
+    """Coefficients ``c_j(x) = fh[j] + corrections`` of the end nodes of
+    ``weights`` at the off-node points ``x`` (1-D).
 
     Returns ``(lower, upper)``, each ``(d, x.size)``: ``lower[j]`` for node
     ``j``, ``upper[i]`` for node ``n-d+1+i``. A node in both blocks has the
@@ -160,12 +160,12 @@ def end_coefs(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x)
     A batch runs :func:`zeta_eta`; a single point takes the same steps in
     the same order on Python floats, whose ``+ - * /`` round as numpy's do.
     """
-    if params.e == 0:
+    if weights.e == 0:
         return None
-    d, e, n, fh = params.d, params.e, nodes.n, weights.fh
+    d, e, n, fh = weights.params.d, weights.e, weights.nodes.n, weights.fh
     lo = n + 1 - d                          # nodes lo .. d-1 are in both ends
     if x.size != 1:
-        lower, upper = zeta_eta(weights, nodes, params, x)
+        lower, upper = zeta_eta(weights, x)
         both = max(d - lo, 0)
         lower += fh[:d, None]
         upper[:both] += lower[d - both:]
@@ -173,7 +173,7 @@ def end_coefs(weights: PrecomputedWeights, nodes: NodeSet, params: ExtParams, x)
         lower[d - both:] = upper[:both]
         return lower, upper
     out, x = [], x.tolist()
-    for end, xe, lead, sign in _ends(weights, nodes, params, x):
+    for end, xe, lead, sign in _ends(weights, x):
         if out:     # the upper end: a node in both adds to its lower value
             base = fh[:n - d:-1].tolist()
             base[lo:] = out[0][lo:][::-1]
@@ -212,13 +212,14 @@ def _reduce(block):
     return np.add.accumulate(block)[-1]
 
 
-def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
+def term_sums(weights, x, ys=None, col=None, compensated=False):
     """Node sums of the terms ``t_k = c_k / (x - x_k)`` at the off-node
     points ``x`` (1-D), added left to right in node order from 0.0.
 
-    ``c_k`` is the constant ``w[k]``, except at the ``d`` nodes at each end
-    when ``ends = (weights, nodes, params)`` has ``e >= 1``: their values
-    per point are :func:`end_coefs`. Returns ``(num, den)`` with
+    ``c_k`` is the constant ``fh[k]`` of ``weights`` (a
+    :class:`PrecomputedWeights`, or any object with its ``nodes``, ``fh``
+    and ``e``), except at the ``d`` nodes at each end when ``e >= 1``: their
+    values per point are :func:`end_coefs`. Returns ``(num, den)`` with
     ``den = sum_k t_k`` and ``num = sum_k t_k ys[k]``. With ``ys=None``,
     ``num`` is ``sum_k |t_k|`` instead; with ``col=j`` it is ``t_j``.
     ``compensated`` adds every sum with two-term (Kahan) compensation.
@@ -230,8 +231,9 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
     its coefficients from :func:`_end_rows`, and updates its running sums
     in place. Either way each sum sees the same adds in the same order.
     """
+    xs, w = weights.nodes.xs, weights.fh
     m, size = x.size, xs.size
-    nl = ends[2].d if ends is not None and ends[2].e else 0
+    nl = weights.params.d if weights.e else 0
     lo = size - nl                      # end nodes: k < nl and k >= lo
     if compensated or m >= _SWEEP_MIN:
         num, den = np.zeros(m), np.zeros(m)
@@ -239,7 +241,7 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
         xl = xs.tolist()
         yl = ys.tolist() if ys is not None else None
         t, v = np.empty((2, m))
-        coefs = _end_rows(w, x, ends, t) if nl else w.tolist()
+        coefs = _end_rows(weights, x, t) if nl else w.tolist()
         for k, ck in enumerate(coefs):
             np.subtract(x, xl[k], out=t)
             np.divide(ck, t, out=t)
@@ -254,7 +256,7 @@ def term_sums(xs, w, x, ys=None, ends=None, col=None, compensated=False):
     xc, wc = xs[:, None], w[:, None]
     yc = None if ys is None else ys[:, None]
     if nl:
-        lower, upper = end_coefs(*ends, x)
+        lower, upper = end_coefs(weights, x)
     # row 0 of each block carries the running sum over the earlier nodes
     T, V = np.zeros((h + 1, m)), np.zeros((h + 1, m))
     diff = np.empty((h, m))
@@ -386,8 +388,7 @@ class Interpolant:
         return pointwise(self.nodes, x, self.ys, self._values)
 
     def _values(self, x):
-        num, den = term_sums(self.nodes.xs, self.weights.fh, x, self.ys,
-                             ends=(self.weights, self.nodes, self.params),
+        num, den = term_sums(self.weights, x, self.ys,
                              compensated=self.compensated)
         return num / den
 
@@ -402,8 +403,7 @@ class Interpolant:
         unit[k] = 1.0
 
         def off_nodes(xo):
-            tj, den = term_sums(self.nodes.xs, self.weights.fh, xo, col=k,
-                                ends=(self.weights, self.nodes, self.params))
+            tj, den = term_sums(self.weights, xo, col=k)
             return tj / den
 
         return pointwise(self.nodes, x, unit, off_nodes)
@@ -425,7 +425,7 @@ def term_rows(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x)
     if not xo.size:
         return None, off, snap
     C = np.broadcast_to(weights.fh, (xo.size, nodes.n + 1)).copy()
-    ends = end_coefs(weights, nodes, params, xo)
+    ends = end_coefs(weights, xo)
     if ends is not None:
         C[:, :params.d] = ends[0].T
         C[:, nodes.n + 1 - params.d:] = ends[1].T

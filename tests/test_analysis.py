@@ -103,6 +103,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="needs the nodes"):
             error_report(lambda x: 0 * x, get_function("runge"), grid)
 
+    def test_node_relative_grid_over_other_interval_refused(self):
+        # it spans the nodes whatever a, b are: on [-1, 1] nodes it gave
+        # points in [-1, 1] for a, b = -5, 5
+        nodes = NodeSet.equispaced(-1.0, 1.0, 20)
+        with pytest.raises(ValueError, match="nodes' interval"):
+            GridSpec(2, per_subinterval=10).points(-5.0, 5.0, nodes)
+
     def test_count_too_small(self):
         with pytest.raises(ValueError):
             GridSpec(1)
@@ -211,6 +218,14 @@ class TestErrorReport:
         r = Interpolant.from_function(nodes, f.fn, d=6, e=3)  # d - e = 3
         rep = error_report(r, f, GridSpec(2001))
         assert rep.linf < 1e-9 * 3.0
+
+    def test_node_relative_grid_refused_for_an_interpolant(self):
+        # such a grid spanned the interpolant's nodes, not the function's
+        # interval: linf read 5.7e-6 here, against 203 on GridSpec(2001)
+        r = Interpolant.from_function(NodeSet.equispaced(-1, 1, 20),
+                                      RUNGE.fn, d=6, e=2)
+        with pytest.raises(ValueError, match="needs the nodes"):
+            error_report(r, RUNGE, GridSpec(2, per_subinterval=10))
 
     def test_l1_is_correctly_rounded_sum_of_trapezoid_terms(self):
         # on the grid 0, 1, 2, 3 these errors give the trapezoid terms

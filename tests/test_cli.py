@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import baryblend
 from baryblend import Interpolant, NodeSet, get_function
@@ -213,6 +214,16 @@ class TestLebesgueCmd:
         assert lines[0] == "n,d,e,lebesgue,argmax_x"
         lam = float(lines[1].split(",")[3])
         assert lam > 1.0
+
+    @pytest.mark.parametrize("extra", [["--grid", "5"],
+                                       ["--sigma", "0.5", "--seed", "7"]])
+    def test_unread_flags_refused(self, extra, capsys):
+        # lebesgue_constant reads no grid and no noise
+        with pytest.raises(SystemExit) as exc:
+            main(["lebesgue", "--n", "16", "--d", "6", "--e", "2",
+                  "--interval", "-1", "1", *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRungeTable:

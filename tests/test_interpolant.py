@@ -74,7 +74,7 @@ class TestZetaEta:
         nodes = log_perturbed_nodes(-1.0, 1.0, 10, rng)
         params = ExtParams(5, 3)
         pw = PrecomputedWeights(nodes, params)
-        z, h = (a[:, 0] for a in zeta_eta(pw, nodes, params, np.array([x])))
+        z, h = (a[:, 0] for a in zeta_eta(pw, np.array([x])))
         zr, hr = raw_zeta_eta(nodes, 5, 3, x)
         # the stored lead rows are the raw products up to one common factor
         scale = barycentric_product(nodes.xs, 0, 0, 4) / pw.lower_lead[0]
@@ -92,7 +92,7 @@ class TestZetaEta:
             x = float(rng.uniform(-1.9, 1.9))
             if nodes.snap_index(x) is not None:
                 continue
-            z, h = (a[:, 0] for a in zeta_eta(pw, nodes, params, np.array([x])))
+            z, h = (a[:, 0] for a in zeta_eta(pw, np.array([x])))
             zd, hd = zeta_eta_direct(pw, nodes, params, x)
             np.testing.assert_allclose(z, zd, rtol=1e-12, atol=1e-300)
             np.testing.assert_allclose(h, hd, rtol=1e-12, atol=1e-300)
@@ -102,7 +102,7 @@ class TestZetaEta:
         nodes = NodeSet.equispaced(-1, 1, 10)
         params = ExtParams(5, 3)
         pw = PrecomputedWeights(nodes, params)
-        z3, z6 = zeta_eta(pw, nodes, params, np.array([1e3, 1e6]))[0].T
+        z3, z6 = zeta_eta(pw, np.array([1e3, 1e6]))[0].T
         ratio = np.abs(z3[np.abs(z3) > 0]) / np.abs(z6[np.abs(z6) > 0])
         np.testing.assert_allclose(ratio, 1e3, rtol=1e-2)
 
@@ -111,7 +111,7 @@ class TestZetaEta:
         params = ExtParams(4, 2)
         pw = PrecomputedWeights(nodes, params)
         with pytest.raises(ValueError, match="endpoint"):
-            zeta_eta(pw, nodes, params, np.array([-1.0]))
+            zeta_eta(pw, np.array([-1.0]))
 
 
 def runge(x):
@@ -466,8 +466,8 @@ class TestKernel:
         r = kernel_case(n, d, e, rng)
         x = rng.uniform(-1.1, 1.1, 300)
         for v in x[r.nodes.snap_indices(x) < 0][:100]:
-            one = end_coefs(r.weights, r.nodes, r.params, np.array([v]))
-            two = end_coefs(r.weights, r.nodes, r.params, np.array([v, 0.1]))
+            one = end_coefs(r.weights, np.array([v]))
+            two = end_coefs(r.weights, np.array([v, 0.1]))
             if e == 0:
                 assert one is None and two is None
                 continue
@@ -485,8 +485,8 @@ class TestKernel:
                  np.nextafter(nodes.b - nodes.snap_tolerance(40), -2.0)]
         for v in edges:
             with np.errstate(all="ignore"):
-                one = end_coefs(r.weights, nodes, r.params, np.array([v]))
-                two = end_coefs(r.weights, nodes, r.params, np.array([v, 0.5]))
+                one = end_coefs(r.weights, np.array([v]))
+                two = end_coefs(r.weights, np.array([v, 0.5]))
             assert not all(np.isfinite(a).all() for a in one)
             for a, b in zip(one, two):
                 assert np.array_equal(bits(a[:, 0]), bits(b[:, 0]))
@@ -495,29 +495,25 @@ class TestKernel:
         r = kernel_case(30, 10, 4, rng)
         for v in (r.nodes.a, r.nodes.b):
             with pytest.raises(ValueError, match="endpoint"):
-                end_coefs(r.weights, r.nodes, r.params, np.array([v]))
+                end_coefs(r.weights, np.array([v]))
 
     def test_sweep_refuses_an_endpoint(self, rng):
         # a batch of _SWEEP_MIN points or more forms its end rows node by
         # node, not through zeta_eta, and must refuse an endpoint as it does
         r = kernel_case(30, 10, 4, rng)
-        ends = (r.weights, r.nodes, r.params)
         for v in (r.nodes.a, r.nodes.b):
             for m, compensated in ((_SWEEP_MIN, False), (5000, False),
                                    (8, True)):
                 x = rng.uniform(-0.9, 0.9, m)
                 x[m // 2] = v
                 with pytest.raises(ValueError, match="evaluation at an endpoint"):
-                    term_sums(r.nodes.xs, r.weights.fh, x, r.ys, ends,
-                              compensated=compensated)
+                    term_sums(r.weights, x, r.ys, compensated=compensated)
 
     def test_empty_batch(self, rng):
         r = kernel_case(30, 10, 4, rng)
         x = np.empty(0)
-        ends = (r.weights, r.nodes, r.params)
-        for sums in (term_sums(r.nodes.xs, r.weights.fh, x, r.ys, ends),
-                     term_sums(r.nodes.xs, r.weights.fh, x, r.ys, ends,
-                               compensated=True)):
+        for sums in (term_sums(r.weights, x, r.ys),
+                     term_sums(r.weights, x, r.ys, compensated=True)):
             assert [a.shape for a in sums] == [(0,), (0,)]
 
     def test_axis0_reduce_adds_rows_in_order(self):

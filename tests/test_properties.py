@@ -64,14 +64,14 @@ def test_partition_of_unity(seed):
 def rescaled_value(r, x, factor):
     """``r(x)`` through the kernel, every stored weight family times
     ``factor``."""
-    w = SimpleNamespace(fh=r.weights.fh * factor)
+    w = SimpleNamespace(fh=r.weights.fh * factor, nodes=r.nodes,
+                        params=r.params, e=r.e)
     if r.e > 0:
         w.lower_lead = r.weights.lower_lead * factor
         w.upper_lead = r.weights.upper_lead * factor
 
     def off_nodes(xo):
-        num, den = term_sums(r.nodes.xs, w.fh, xo, r.ys,
-                             ends=(w, r.nodes, r.params))
+        num, den = term_sums(w, xo, r.ys)
         return num / den
 
     return pointwise(r.nodes, x, r.ys, off_nodes)
