@@ -2,7 +2,8 @@
 
 Each case builds one interpolant from fixed seeds and hashes, with sha256,
 the bits of ``r(x)``, compensated ``r(x)``, ``basis`` at nodes ``0`` and
-``n - d + 1``, ``lebesgue_function`` and scalar ``eval``. The batches hold
+``n - d + 1``, ``lebesgue_function`` and scalar ``eval``, and apart from
+those the compensated scalar ``eval``. The batches hold
 1, 2, 32, 1,023, 1,024 and 5,000 points, so one-point blocks, node blocks
 and the one-node-per-step sweep all run, and each holds exact nodes and
 the two points one ulp outside the snap radius of the endpoints, where the
@@ -95,6 +96,37 @@ def test_golden_bits(case):
                     lebesgue_function(r.nodes, r.params, x, w)]
         out.append([r.eval(v).value for x in batches for v in x[:40]])
     assert (inputs, digest(out)) == GOLDEN[case]
+
+
+# the same cases: digest of the compensated scalar ``eval`` over the first
+# 40 points of each batch
+COMPENSATED_SCALAR = {
+    (64, 12, 4, "equispaced"): "18269a18d6420474",
+    (64, 12, 4, "log"): "a33748a57d14b152",
+    (64, 12, 12, "equispaced"): "a21b78661404bb21",
+    (64, 12, 12, "log"): "f441e2ae5103ba9b",
+    (64, 12, 1, "equispaced"): "5fa29e1172617828",
+    (64, 12, 1, "log"): "5205591d041c620d",
+    (10, 8, 8, "equispaced"): "a6578a00bc04108f",
+    (10, 8, 8, "log"): "ba63288773f72c7e",
+    (7, 7, 5, "equispaced"): "adcc7ded05f182c6",
+    (7, 7, 5, "log"): "d68799d3068ae9af",
+    (5, 5, 5, "equispaced"): "716c4b24ecc946ee",
+    (5, 5, 5, "log"): "7579a27f4d847dab",
+    (1000, 14, 4, "equispaced"): "f40243db3da16129",
+    (1000, 14, 4, "log"): "de32fa761cb4b414",
+    (40, 24, 24, "equispaced"): "049f02ba0d30f9a6",
+    (40, 30, 22, "equispaced"): "88bdfa1dd05b2897",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_compensated_scalar_golden_bits(case):
+    r, batches = golden_case(*case)
+    rc = Interpolant(r.nodes, r.ys, r.d, r.e, compensated=True)
+    with np.errstate(all="ignore"):
+        out = [rc.eval(v).value for x in batches for v in x[:40]]
+    assert digest([out]) == COMPENSATED_SCALAR[case]
 
 
 # n: (digest of nodes and samples, digest of the outputs); the weights are
