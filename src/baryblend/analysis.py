@@ -161,9 +161,8 @@ def lebesgue_function(nodes: NodeSet, params: ExtParams, x,
     """
     if weights is None:
         weights = PrecomputedWeights(nodes, params)
-    elif not (params == weights.params and (
-            nodes is weights.nodes or np.array_equal(nodes.xs, weights.nodes.xs))):
-        raise ValueError("weights were built for other nodes or parameters")
+    else:
+        weights.check(nodes, params)
 
     def off_nodes(xo):
         abssum, den = term_sums(weights, xo)

@@ -10,29 +10,29 @@ corrections), and the interpolant is the ratio
 With ``e = 0`` the corrections vanish and this is the classical
 Floater-Hormann form (Floater & Hormann 2007, Numer. Math. 107). Only the
 ``d`` nodes at each end carry corrections, by one nested Horner recurrence
-that each end runs counted from its endpoint inward (:func:`zeta_eta`),
-O(e) arithmetic per node, so one evaluation costs O(n + d*e).
+that each end runs counted from its endpoint inward (:func:`zeta_eta`) on
+operands stored once per :class:`PrecomputedWeights`, O(e) arithmetic per
+node, so one evaluation costs O(n + d*e).
 
 One kernel, :func:`term_sums`, forms the terms from the points and one
 :class:`PrecomputedWeights` and sums them; values, basis functions and the
 Lebesgue function are reductions of its sums. It runs the recurrence in
-three forms, each the fastest measured in its regime:
-a batch of ``2 <= m < 1024`` points takes about ``8192 / m`` nodes per
-block and runs an end's ``d`` recurrences side by side (a chain per node
-was 5-7x slower at 32 points); a single point forms its ``2d`` end
-coefficients on Python floats, where numpy's fixed cost per call would
-dominate (a float chain per node took 47 against 31 us); a larger or a
-compensated batch takes one node per step, each end node's row formed by
-its own chain just before its step, contiguous rows times floats at a
-third of the block form's cost per element. Every path adds the terms
-strictly left to right in node order from 0.0 (a one-column block with
-the sequential ``np.add.accumulate``, as numpy would sum it pairwise), so
-the scalar and vectorized paths produce bit-identical results. Optional
+three forms, each the fastest measured in its regime: a single point runs
+each end node's chain on Python floats, where numpy's fixed cost per call
+would dominate, and sums 1-D rows of terms; a batch of ``2 <= m < 1024``
+points takes about ``8192 / m`` nodes per block and runs an end's ``d``
+recurrences side by side (a chain per node was 5-7x slower at 32 points);
+a larger or a compensated batch takes one node per step, each end node's
+row formed by its own chain just before its step. Every path adds the
+terms strictly left to right in node order from 0.0 (a 1-D row with the
+sequential ``np.add.accumulate``, which numpy would sum pairwise), so the
+scalar and vectorized paths produce bit-identical results. Optional
 two-term (Kahan) compensation is available behind a flag.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -58,18 +58,12 @@ class EvalOutcome(NamedTuple):
     at_node: Optional[int]
 
 
-def _ends(weights: PrecomputedWeights, x):
-    # each end as (endpoint, its d nodes from the endpoint inward, their
-    # leads, the leads' sign): the upper end's node n - i and step n - k
-    # are then the lower end's node i and step k, with the same difference
-    # x_i - x_k, so one recurrence serves both; x is a 1-D array, or a
-    # list of one float
-    nodes, d = weights.nodes, weights.params.d
-    if nodes.a in x or nodes.b in x:
+def _ends(weights: PrecomputedWeights, x, lists=False):
+    # each end's stored operands, as arrays or as lists of floats, once the
+    # points x (a 1-D array or a list) are known to hold no endpoint
+    if weights.nodes.a in x or weights.nodes.b in x:
         raise ValueError("evaluation at an endpoint: snap to the node instead")
-    return ((nodes.a, nodes.xs[:d], weights.lower_lead, -1.0),
-            (nodes.b, nodes.xs[::-1][:d], weights.upper_lead[::-1],
-             -1.0 if (nodes.n + 1 - d) % 2 else 1.0))
+    return weights.end_lists if lists else weights.ends
 
 
 def zeta_eta(weights: PrecomputedWeights, x):
@@ -86,16 +80,16 @@ def zeta_eta(weights: PrecomputedWeights, x):
     takes the steps ``k = max(i+1, d-e+1) .. d-1`` upward, each
     ``z = 1 - z * ((x_i - x_k) * p)`` from ``z = 1``, with
     ``p = 1 / (x - endpoint)``, and ends with ``z * (l_i * p)``, ``l_i`` its
-    signed lead. Here the ``d`` nodes of one end run side by side: each
-    step updates the nodes whose recurrence contains it. ``eta`` is the
-    upper end's result, reversed back into node order.
+    signed lead, from the operands stored in ``weights.ends``. Here the
+    ``d`` nodes of one end run side by side: each step updates the nodes
+    whose recurrence contains it. ``eta`` is the upper end, reversed.
 
     ``x`` must not equal an endpoint (powers of ``x - x_0`` and
     ``x - x_n`` are formed); callers snap node-coincident points first.
     """
     d, e = weights.params.d, weights.e
     out = []
-    for end, xe, lead, sign in _ends(weights, x):
+    for end, xe, lead, _ in _ends(weights, x):
         p = 1.0 / (x - end)
         xe = xe[:, None]
         z = np.ones((d, x.size))
@@ -103,7 +97,7 @@ def zeta_eta(weights: PrecomputedWeights, x):
             acc = z[:k]
             acc *= (xe[:k] - xe[k]) * p
             np.subtract(1.0, acc, out=acc)
-        z *= (sign * lead)[:, None] * p
+        z *= lead[:, None] * p
         out.append(z)
     return out[0], out[1][::-1]
 
@@ -113,13 +107,12 @@ def _end_rows(weights: PrecomputedWeights, x, g):
     # or an end node's row, formed by zeta_eta's steps for that node alone
     # in one row per end reused from node to node; g is scratch
     d, e, n = weights.params.d, weights.e, weights.nodes.n
-    sides = _ends(weights, x)
+    sides = _ends(weights, x, lists=True)
 
     def rows(js):
         # an end's row and p = 1/(x - endpoint) live while js holds its nodes
-        chains = {s: (1.0 / (x - end), xe.tolist(), (sign * lead).tolist(),
-                      np.empty(x.size))
-                  for s, (end, xe, lead, sign) in enumerate(sides)
+        chains = {s: (1.0 / (x - end), xe, lead, np.empty(x.size))
+                  for s, (end, xe, lead, _) in enumerate(sides)
                   if (js[0], n - js[-1])[s] < d}
         for j in js:
             c = float(weights.fh[j])    # a node in both ends: lower first
@@ -156,40 +149,40 @@ def end_coefs(weights: PrecomputedWeights, x):
     ``j``, ``upper[i]`` for node ``n-d+1+i``. A node in both blocks has the
     same value in each, its lower correction added first. ``None`` when
     ``e = 0``, where every coefficient is the constant ``fh[j]``.
-
-    A batch runs :func:`zeta_eta`; a single point takes the same steps in
-    the same order on Python floats, whose ``+ - * /`` round as numpy's do.
     """
     if weights.e == 0:
         return None
-    d, e, n, fh = weights.params.d, weights.e, weights.nodes.n, weights.fh
+    d, n, fh = weights.params.d, weights.nodes.n, weights.fh
     lo = n + 1 - d                          # nodes lo .. d-1 are in both ends
-    if x.size != 1:
-        lower, upper = zeta_eta(weights, x)
-        both = max(d - lo, 0)
-        lower += fh[:d, None]
-        upper[:both] += lower[d - both:]
-        upper[both:] += fh[lo + both:, None]
-        lower[d - both:] = upper[:both]
-        return lower, upper
-    out, x = [], x.tolist()
-    for end, xe, lead, sign in _ends(weights, x):
+    lower, upper = zeta_eta(weights, x)
+    both = max(d - lo, 0)
+    lower += fh[:d, None]
+    upper[:both] += lower[d - both:]
+    upper[both:] += fh[lo + both:, None]
+    lower[d - both:] = upper[:both]
+    return lower, upper
+
+
+def _point_coefs(weights: PrecomputedWeights, x):
+    # end_coefs at one point, the float x, as two lists: each end node's
+    # chain of zeta_eta's steps in order on the stored float operands, whose
+    # + - * / round as numpy's do; a node in both ends is right only in the
+    # upper list, which term_sums writes last
+    d, e = weights.params.d, weights.e
+    lo = weights.nodes.n + 1 - d            # nodes lo .. d-1 are in both ends
+    k0 = d - e + 1                          # the first step
+    out = []
+    for end, xe, lead, base in _ends(weights, [x], lists=True):
         if out:     # the upper end: a node in both adds to its lower value
-            base = fh[:n - d:-1].tolist()
-            base[lo:] = out[0][lo:][::-1]
-        else:
-            base = fh[:d].tolist()
-        xe, p = xe.tolist(), 1.0 / (x[0] - end)
-        z = [1.0] * d
-        for k in range(d - e + 1, d):
-            xk = xe[k]
-            z[:k] = [1.0 - a * ((xi - xk) * p) for a, xi in zip(z, xe[:k])]
-        out.append([a * ((sign * c) * p) + f
-                    for a, c, f in zip(z, lead.tolist(), base)])
-    lower, upper = out[0], out[1][::-1]
-    lower[lo:] = upper[:max(d - lo, 0)]
-    ends = np.array((lower, upper))[:, :, None]
-    return ends[0], ends[1]
+            base = base[:lo] + out[0][lo:][::-1]
+        p, tail, coefs = 1.0 / (x - end), xe[k0:], []
+        for i, xi in enumerate(xe):
+            z = 1.0
+            for xk in tail if i < k0 else xe[i + 1:]:
+                z = 1.0 - z * ((xi - xk) * p)
+            coefs.append(z * (lead[i] * p) + base[i])
+        out.append(coefs)
+    return out[0], out[1][::-1]
 
 
 def _add(total, v, comp=None):
@@ -203,13 +196,22 @@ def _add(total, v, comp=None):
     total[...] = s
 
 
-def _reduce(block):
-    # block[0] + block[1] + ... per column, one rounding per add, in row
-    # order: np.add.reduce over axis 0 adds a C-contiguous block row by row,
-    # but it sums a lone column pairwise, and np.add.accumulate never does
-    if block.shape[1] != 1:
-        return np.add.reduce(block, axis=0)
-    return np.add.accumulate(block)[-1]
+def _reduce(block, comp=None):
+    # (block[0] + block[1] + ..., comp), one rounding per add, in row order:
+    # np.add.reduce adds the rows of a C-contiguous 2-D block one by one,
+    # but sums a 1-D row pairwise, and np.add.accumulate never does; a row
+    # with a float comp is added on floats by _add's Kahan steps
+    if block.ndim == 2:
+        return np.add.reduce(block, axis=0), None
+    if comp is None:
+        return np.add.accumulate(block)[-1], None
+    total, *values = block.tolist()
+    for v in values:
+        y = v - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+    return total, comp
 
 
 def term_sums(weights, x, ys=None, col=None, compensated=False):
@@ -227,15 +229,17 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
     A batch of ``m < _SWEEP_MIN`` points takes ``h = _BLOCK // m`` nodes
     per step: a few ufuncs form the ``(h, m)`` block of terms under a row
     holding the running sums, and :func:`_reduce` adds its rows in node
-    order. A larger batch, or a compensated one, takes one node per step,
-    its coefficients from :func:`_end_rows`, and updates its running sums
-    in place. Either way each sum sees the same adds in the same order.
+    order. A single point (compensated too) takes 1-D rows of terms, its
+    end coefficients from the float chains of :func:`_point_coefs`. A
+    larger batch, or a compensated one, takes one node per step, its
+    coefficients from :func:`_end_rows`, and updates its running sums in
+    place. Either way each sum sees the same adds in the same order.
     """
     xs, w = weights.nodes.xs, weights.fh
     m, size = x.size, xs.size
     nl = weights.params.d if weights.e else 0
     lo = size - nl                      # end nodes: k < nl and k >= lo
-    if compensated or m >= _SWEEP_MIN:
+    if m != 1 and (compensated or m >= _SWEEP_MIN):
         num, den = np.zeros(m), np.zeros(m)
         cn, cd = (np.zeros(m), np.zeros(m)) if compensated else (None, None)
         xl = xs.tolist()
@@ -252,14 +256,18 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
                 num[...] = t
             _add(den, t, cd)
         return num, den
+    # row 0 of each block carries the running sums over the earlier nodes;
+    # a single point (the only compensated input here) takes 1-D rows
+    cn = cd = 0.0 if compensated else None
     h = min(_BLOCK // max(m, 1), size)
-    xc, wc = xs[:, None], w[:, None]
-    yc = None if ys is None else ys[:, None]
+    if m == 1:
+        x, xc, wc, yc, shape = x.tolist()[0], xs, w, ys, ()
+    else:
+        xc, wc, shape = xs[:, None], w[:, None], (m,)
+        yc = None if ys is None else ys[:, None]
     if nl:
-        lower, upper = end_coefs(weights, x)
-    # row 0 of each block carries the running sum over the earlier nodes
-    T, V = np.zeros((h + 1, m)), np.zeros((h + 1, m))
-    diff = np.empty((h, m))
+        lower, upper = (_point_coefs if m == 1 else end_coefs)(weights, x)
+    T, V, diff = np.zeros((3, h + 1, *shape))
     for k0 in range(0, size, h):
         k1 = min(k0 + h, size)
         r = k1 - k0
@@ -277,18 +285,18 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
                 np.absolute(t, out=v)
             else:
                 np.multiply(t, yc[k0:k1], out=v)
-            V[0] = _reduce(V[:r + 1])
+            V[0], cn = _reduce(V[:r + 1], cn)
         elif k0 <= col < k1:
             V[0] = t[col - k0]
-        T[0] = _reduce(T[:r + 1])
-    return V[0], T[0]
+        T[0], cd = _reduce(T[:r + 1], cd)
+    return (V[:1], T[:1]) if m == 1 else (V[0], T[0])
 
 
 def _point(nodes: NodeSet, x, at_nodes, off_nodes):
     """Evaluate at one scalar ``x``: ``(at_nodes[j], j)`` when ``x`` snaps
     to node ``j``, else ``(off_nodes(x as a one-point block), None)``."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite input")
     j = nodes.snap_index(x)
     if j is not None:
@@ -416,8 +424,10 @@ def term_rows(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x)
     ``offmask`` is true (``None`` if every point snapped to a node). The
     interpolant is ``(T @ ys) / T.sum(axis=1)`` and the basis functions are
     the rows of ``T`` over their sum. ``T`` is dense, ``points x (n+1)``;
-    the evaluators never form it.
+    the evaluators never form it. ``weights`` built for other nodes or
+    parameters are refused.
     """
+    weights.check(nodes, params)
     x = np.asarray(x, dtype=float)
     snap = nodes.snap_indices(x)
     off = snap < 0

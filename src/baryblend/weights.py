@@ -195,6 +195,9 @@ class PrecomputedWeights:
     lower, upper : list of ndarray
         The same rows as one-row lists (empty when ``e = 0``), which the
         benchmark's span tracer counts.
+    ends, end_lists : tuple
+        Each end's x-independent operands of the end-correction recurrence,
+        as arrays and as lists of floats (empty when ``e = 0``).
     nodes, params : NodeSet, ExtParams
         What the weights were built for.
 
@@ -220,10 +223,28 @@ class PrecomputedWeights:
             self.fh = fh / g
             self.lower = [row / g for row in lower]
             self.upper = [row / g for row in upper]
-        for arr in [self.fh, *self.lower, *self.upper]:
+        self.lower_lead = self.lower[0] if self.e else None
+        self.upper_lead = self.upper[0] if self.e else None
+        # each end as (endpoint, its d nodes from the endpoint inward, their
+        # leads times the end's sign, their fh): the upper end's node n - i
+        # is then the lower end's node i, so one recurrence serves both
+        self.ends, d, xs = (), params.d, nodes.xs
+        if self.e:
+            sign = -1.0 if (nodes.n + 1 - d) % 2 else 1.0
+            self.ends = ((nodes.a, xs[:d], -self.lower_lead, self.fh[:d]),
+                         (nodes.b, xs[::-1][:d], sign * self.upper_lead[::-1],
+                          self.fh[::-1][:d]))
+        self.end_lists = tuple((end, *(a.tolist() for a in ops))
+                               for end, *ops in self.ends)
+        for arr in [self.fh, *self.lower, *self.upper, *(s[2] for s in self.ends)]:
             # no weight is zero in exact arithmetic: a zero one underflowed
             if not np.all(np.isfinite(arr) & (arr != 0.0)):
                 raise ValueError(_EXTREME)
             arr.flags.writeable = False
-        self.lower_lead = self.lower[0] if self.e else None
-        self.upper_lead = self.upper[0] if self.e else None
+
+    def check(self, nodes: NodeSet, params: ExtParams):
+        """Refuse, with ``ValueError``, other nodes or parameters than these
+        weights were built for."""
+        if params != self.params or not (
+                nodes is self.nodes or np.array_equal(nodes.xs, self.nodes.xs)):
+            raise ValueError("weights were built for other nodes or parameters")

@@ -6,7 +6,9 @@ import pytest
 from baryblend import (ChebyshevBaseline, ExtParams, Interpolant, NodeSet,
                        PrecomputedWeights, dump_interpolant, get_function,
                        lebesgue_function, load_interpolant)
-from baryblend.interpolant import _SWEEP_MIN, end_coefs, term_sums, zeta_eta
+from baryblend import interpolant
+from baryblend.interpolant import (_SWEEP_MIN, _point_coefs, end_coefs,
+                                   term_rows, term_sums, zeta_eta)
 from baryblend.oracle import dense_values, fh_value
 
 from .conftest import (barycentric_product, log_perturbed_nodes,
@@ -496,6 +498,66 @@ class TestKernel:
         for v in (r.nodes.a, r.nodes.b):
             with pytest.raises(ValueError, match="endpoint"):
                 end_coefs(r.weights, np.array([v]))
+
+    @pytest.mark.parametrize("n,d,e", [c for c in BLOCK_CASES if c[2]])
+    def test_point_coefs_match_batch(self, n, d, e, rng):
+        # a single point's float chains must give the bits of its column in
+        # a 2-point batch, also one ulp outside the snap radius of an end
+        # node; a node in both ends is right in the upper list only
+        r = kernel_case(n, d, e, rng)
+        nodes, k = r.nodes, min(d, n + 1 - d)
+        x = rng.uniform(-1.1, 1.1, 300)
+        x = np.append(x[nodes.snap_indices(x) < 0][:100],
+                      [np.nextafter(nodes.a + nodes.snap_tolerance(0), 2.0),
+                       np.nextafter(nodes.b - nodes.snap_tolerance(n), -2.0)])
+        for v in x:
+            with np.errstate(all="ignore"):
+                lower, upper = _point_coefs(r.weights, float(v))
+                two = end_coefs(r.weights, np.array([v, 0.1]))
+            assert np.array_equal(bits(lower[:k]), bits(two[0][:k, 0]))
+            assert np.array_equal(bits(upper), bits(two[1][:, 0]))
+
+    @pytest.mark.parametrize("n,d,e", [(64, 12, 4), (1000, 14, 4), (4, 4, 4),
+                                       (30, 10, 10)])
+    def test_single_points_stay_off_the_batch_paths(self, n, d, e, rng,
+                                                    monkeypatch):
+        # a scalar call, compensated or not, forms its end coefficients on
+        # floats and never reaches the node blocks' zeta_eta or the sweep's
+        # _end_rows (a compensated point in the sweep took 20-40x longer)
+        r = kernel_case(n, d, e, rng)
+        rc = Interpolant(r.nodes, r.ys, d, e, compensated=True)
+        x = rng.uniform(-1.0, 1.0, 40)
+        x = x[r.nodes.snap_indices(x) < 0]
+        want = [r(x), rc(x), r.basis(0, x), r.basis(n, x),
+                lebesgue_function(r.nodes, r.params, x, r.weights)]
+
+        def refuse(*args):
+            raise AssertionError("a single point took a batch path")
+
+        monkeypatch.setattr(interpolant, "zeta_eta", refuse)
+        monkeypatch.setattr(interpolant, "_end_rows", refuse)
+        got = [[r.eval(v).value for v in x], [rc.eval(v).value for v in x],
+               [r.basis(0, v) for v in x], [r.basis(n, v) for v in x],
+               [lebesgue_function(r.nodes, r.params, v, r.weights) for v in x]]
+        for a, b in zip(got, want):
+            assert np.array_equal(bits(a), bits(b))
+        with pytest.raises(AssertionError, match="batch path"):
+            rc(x[:2])
+
+    def test_term_rows_refuses_mismatched_weights(self):
+        # weights built for (6, 2) and passed with params (6, 3) gave the
+        # (6, 2) rows: for 1/(1 + 25x^2), 0.0407701 at x = -0.97, where the
+        # (6, 3) interpolant gives 0.0408148
+        nodes = NodeSet.equispaced(-1.0, 1.0, 19)
+        weights = PrecomputedWeights(nodes, ExtParams(6, 2))
+        x = np.array([-0.97])
+        for other, params in ((nodes, ExtParams(6, 3)),
+                              (NodeSet.equispaced(-1.0, 2.0, 19), ExtParams(6, 2))):
+            with pytest.raises(ValueError, match="other nodes or parameters"):
+                term_rows(other, params, weights, x)
+        T, _, _ = term_rows(NodeSet(nodes.xs.copy()), ExtParams(6, 2), weights, x)
+        r = Interpolant.from_function(nodes, runge, 6, 2)
+        assert (T @ r.ys / T.sum(axis=1))[0] == pytest.approx(r(-0.97), rel=1e-14)
 
     def test_sweep_refuses_an_endpoint(self, rng):
         # a batch of _SWEEP_MIN points or more forms its end rows node by

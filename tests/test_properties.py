@@ -69,6 +69,9 @@ def rescaled_value(r, x, factor):
     if r.e > 0:
         w.lower_lead = r.weights.lower_lead * factor
         w.upper_lead = r.weights.upper_lead * factor
+    w.ends = tuple((end, xe, lead * factor, fh * factor)
+                   for end, xe, lead, fh in r.weights.ends)
+    w.end_lists = tuple((end, *(a.tolist() for a in ops)) for end, *ops in w.ends)
 
     def off_nodes(xo):
         num, den = term_sums(w, xo, r.ys)
