@@ -231,9 +231,9 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
     holding the running sums, and :func:`_reduce` adds its rows in node
     order. A single point (compensated too) takes 1-D rows of terms, its
     end coefficients from the float chains of :func:`_point_coefs`. A
-    larger batch, or a compensated one, takes one node per step, its
-    coefficients from :func:`_end_rows`, and updates its running sums in
-    place. Either way each sum sees the same adds in the same order.
+    larger batch, or a compensated one of 2 points or more, takes one node
+    per step, its coefficients from :func:`_end_rows`, and updates its
+    running sums in place. Each sum sees the same adds in the same order.
     """
     xs, w = weights.nodes.xs, weights.fh
     m, size = x.size, xs.size
