@@ -13,16 +13,14 @@ Quick start::
     r(np.linspace(-5, 5, 1001))   # vectorized
 """
 
+from . import oracle  # its names are not exported, but baryblend.oracle is
 from .analysis import (ChebyshevBaseline, CubicSplineBaseline, ErrorReport,
                        GridSpec, LebesgueReport, NoiseSpec, ReferenceFunction,
                        ScanResult, add_noise, converge_n, error_report,
                        gaussian_deviates, get_function, lebesgue_constant,
                        lebesgue_function, runge_error_table, scan_de)
-from .interpolant import (EvalOutcome, Interpolant, dump_interpolant,
-                          load_interpolant)
+from .interpolant import EvalOutcome, Interpolant
 from .nodes import NodeSet
-from .oracle import (SignScanReport, blend_form_value, blending_weights,
-                     denominator_sign_scan)
 from .weights import ExtParams, PrecomputedWeights
 
 __version__ = "0.1.0"
@@ -31,9 +29,7 @@ __all__ = [
     "ChebyshevBaseline", "CubicSplineBaseline", "ErrorReport", "EvalOutcome",
     "ExtParams", "GridSpec", "Interpolant", "LebesgueReport", "NodeSet",
     "NoiseSpec", "PrecomputedWeights", "ReferenceFunction", "ScanResult",
-    "SignScanReport", "add_noise", "blend_form_value", "blending_weights",
-    "converge_n", "denominator_sign_scan", "dump_interpolant",
-    "error_report", "gaussian_deviates", "get_function",
-    "lebesgue_constant", "lebesgue_function", "load_interpolant",
+    "add_noise", "converge_n", "error_report", "gaussian_deviates",
+    "get_function", "lebesgue_constant", "lebesgue_function",
     "runge_error_table", "scan_de",
 ]

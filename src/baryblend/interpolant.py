@@ -59,7 +59,7 @@ class EvalOutcome(NamedTuple):
 
 
 def _ends(weights: PrecomputedWeights, x, lists=False):
-    # each end's stored operands, as arrays or as lists of floats, once the
+    # each end's stored operands, as arrays or as tuples of floats, once the
     # points x (a 1-D array or a list) are known to hold no endpoint
     if weights.nodes.a in x or weights.nodes.b in x:
         raise ValueError("evaluation at an endpoint: snap to the node instead")
@@ -174,7 +174,7 @@ def _point_coefs(weights: PrecomputedWeights, x):
     out = []
     for end, xe, lead, base in _ends(weights, [x], lists=True):
         if out:     # the upper end: a node in both adds to its lower value
-            base = base[:lo] + out[0][lo:][::-1]
+            base = [*base[:lo], *out[0][lo:][::-1]]
         p, tail, coefs = 1.0 / (x - end), xe[k0:], []
         for i, xi in enumerate(xe):
             z = 1.0
@@ -441,48 +441,3 @@ def term_rows(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x)
         C[:, nodes.n + 1 - params.d:] = ends[1].T
     T = C / (xo[:, None] - nodes.xs[None, :])
     return T, off, snap
-
-
-# -- serialization --------------------------------------------------------
-
-def dump_interpolant(interp: Interpolant) -> str:
-    """Serialize nodes, samples and parameters to text, one value per line.
-
-    The header is the node count, ``d``, ``e``, ``spacing=`` the
-    equispaced spacing (``none`` for general nodes) and ``compensated=``
-    0 or 1. Floats are written in shortest round-trip decimal form, so
-    :func:`load_interpolant` rebuilds the interpolant bit for bit.
-    """
-    nodes = interp.nodes
-    lines = [str(nodes.n + 1), str(interp.params.d), str(interp.params.e),
-             f"spacing={'none' if nodes.spacing is None else repr(nodes.spacing)}",
-             f"compensated={int(interp.compensated)}"]
-    lines += [repr(float(v)) for v in nodes.xs]
-    lines += [repr(float(v)) for v in interp.ys]
-    return "\n".join(lines) + "\n"
-
-
-def load_interpolant(text: str) -> Interpolant:
-    """Inverse of :func:`dump_interpolant`. A record without the five
-    header fields it writes is refused as truncated.
-
-    A record with a spacing must hold the nodes of
-    :meth:`NodeSet.equispaced` with exactly that spacing.
-    """
-    vals = text.split()
-    if len(vals) < 5 or not vals[3].startswith("spacing="):
-        raise ValueError("truncated interpolant record")
-    count, d, e = int(vals[0]), int(vals[1]), int(vals[2])
-    if len(vals) != 5 + 2 * count:
-        raise ValueError("truncated interpolant record")
-    flag = vals[4]
-    if flag not in ("compensated=0", "compensated=1"):
-        raise ValueError(f"bad compensation flag {flag!r}")
-    xs = np.array([float(v) for v in vals[5:5 + count]])
-    ys = np.array([float(v) for v in vals[5 + count:]])
-    nodes = NodeSet(xs)
-    if vals[3] != "spacing=none":
-        nodes = NodeSet.equispaced(xs[0], xs[-1], count - 1)
-        if nodes.spacing != float(vals[3][8:]) or not np.array_equal(nodes.xs, xs):
-            raise ValueError("record spacing does not match its nodes")
-    return Interpolant(nodes, ys, d, e, compensated=flag == "compensated=1")

@@ -98,7 +98,7 @@ class NodeSet:
         of the nearest node.
         """
         xs = self.xs
-        i = int(np.searchsorted(xs, x))
+        i = int(xs.searchsorted(x))
         lo, hi = max(i - 1, 0), min(i, self.n)
         dl, dh = abs(x - xs[lo]), abs(x - xs[hi])
         j, dist = (lo, dl) if dl <= dh else (hi, dh)

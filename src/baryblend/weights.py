@@ -197,7 +197,7 @@ class PrecomputedWeights:
         benchmark's span tracer counts.
     ends, end_lists : tuple
         Each end's x-independent operands of the end-correction recurrence,
-        as arrays and as lists of floats (empty when ``e = 0``).
+        as read-only arrays and as tuples of floats (empty when ``e = 0``).
     nodes, params : NodeSet, ExtParams
         What the weights were built for.
 
@@ -221,6 +221,7 @@ class PrecomputedWeights:
             if not nodes.is_equispaced:
                 g = float(np.exp(np.mean(np.log(np.abs(fh)))))
             self.fh = fh / g
+            self.fh.flags.writeable = False  # before ends takes views of it
             self.lower = [row / g for row in lower]
             self.upper = [row / g for row in upper]
         self.lower_lead = self.lower[0] if self.e else None
@@ -234,7 +235,7 @@ class PrecomputedWeights:
             self.ends = ((nodes.a, xs[:d], -self.lower_lead, self.fh[:d]),
                          (nodes.b, xs[::-1][:d], sign * self.upper_lead[::-1],
                           self.fh[::-1][:d]))
-        self.end_lists = tuple((end, *(a.tolist() for a in ops))
+        self.end_lists = tuple((end, *(tuple(a.tolist()) for a in ops))
                                for end, *ops in self.ends)
         for arr in [self.fh, *self.lower, *self.upper, *(s[2] for s in self.ends)]:
             # no weight is zero in exact arithmetic: a zero one underflowed

@@ -9,11 +9,11 @@ import pytest
 
 from baryblend import (ChebyshevBaseline, CubicSplineBaseline, ExtParams,
                        GridSpec, Interpolant, NodeSet, NoiseSpec, add_noise,
-                       blend_form_value, converge_n,
-                       error_report, get_function, lebesgue_constant,
-                       lebesgue_function, scan_de)
+                       converge_n, error_report, get_function,
+                       lebesgue_constant, lebesgue_function, scan_de)
 from baryblend.analysis import converge_csv, runge_error_table, scan_csv
-from baryblend.oracle import denominator_sign_scans, fh_value
+from baryblend.oracle import (blend_form_value, denominator_sign_scans,
+                              fh_value)
 
 from .conftest import record_acceptance
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from baryblend import (ChebyshevBaseline, ExtParams, Interpolant, NodeSet,
-                       PrecomputedWeights, dump_interpolant, get_function,
-                       lebesgue_function, load_interpolant)
+                       PrecomputedWeights, get_function, lebesgue_function)
 from baryblend import interpolant
 from baryblend.interpolant import (_SWEEP_MIN, _point_coefs, end_coefs,
                                    term_rows, term_sums, zeta_eta)
@@ -593,60 +592,6 @@ class TestKernel:
                                       runge, d=8, e=4)
         x = rng.uniform(-5.0, 5.0, 4096)
         assert traced_peak(r, x) < 8 * 2 ** 20
-
-
-class TestSerialization:
-    def test_round_trip_is_exact(self, rng):
-        nodes = log_perturbed_nodes(-2.0, 5.0, 11, rng)
-        ys = rng.standard_normal(12)
-        r = Interpolant(nodes, ys, 7, 3)
-        r2 = load_interpolant(dump_interpolant(r))
-        assert np.array_equal(r2.nodes.xs, nodes.xs)
-        assert np.array_equal(r2.ys, ys)
-        assert (r2.d, r2.e) == (7, 3)
-        x = 0.371
-        assert r2.eval(x).value == pytest.approx(r.eval(x).value, rel=1e-15)
-
-    @pytest.mark.parametrize("compensated", [False, True])
-    def test_round_trip_keeps_spacing_and_compensation(self, compensated, rng):
-        for nodes in (NodeSet.equispaced(-5.0, 5.0, 64),
-                      log_perturbed_nodes(-5.0, 5.0, 64, rng)):
-            r = Interpolant.from_function(nodes, runge, 12, 4,
-                                          compensated=compensated)
-            r2 = load_interpolant(dump_interpolant(r))
-            assert r2.nodes.is_equispaced == nodes.is_equispaced
-            assert r2.nodes.spacing == nodes.spacing
-            assert r2.compensated == compensated
-            x = rng.uniform(-5.0, 5.0, 2000)
-            assert np.array_equal(bits(r2(x)), bits(r(x)))
-
-    def test_three_field_header_rejected(self, rng):
-        # count, d and e alone: the record lacks spacing= and compensated=
-        nodes = log_perturbed_nodes(-1.0, 1.0, 6, rng)
-        ys = rng.standard_normal(7)
-        old = "\n".join(["7", "3", "1"] + [repr(float(v)) for v in nodes.xs]
-                        + [repr(float(v)) for v in ys]) + "\n"
-        with pytest.raises(ValueError, match="truncated"):
-            load_interpolant(old)
-
-    def test_false_spacing_rejected(self, rng):
-        # the binomial weights would be wrong for these nodes
-        r = Interpolant(log_perturbed_nodes(-1.0, 1.0, 8, rng),
-                        rng.standard_normal(9), 4, 2)
-        text = dump_interpolant(r).replace("spacing=none", "spacing=0.25")
-        with pytest.raises(ValueError, match="spacing"):
-            load_interpolant(text)
-
-    def test_unknown_compensation_flag_rejected(self, rng):
-        r = Interpolant(NodeSet.equispaced(-1.0, 1.0, 8),
-                        rng.standard_normal(9), 4, 2)
-        text = dump_interpolant(r).replace("compensated=0", "compensated=2")
-        with pytest.raises(ValueError, match="compensation"):
-            load_interpolant(text)
-
-    def test_truncated_record_rejected(self):
-        with pytest.raises(ValueError, match="truncated"):
-            load_interpolant("3\n1\n0\n1.0\n2.0\n")
 
 
 class TestBasis:

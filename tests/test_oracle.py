@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from baryblend import (ExtParams, Interpolant, NodeSet, blend_form_value,
-                       blending_weights, denominator_sign_scan)
-from baryblend.oracle import denominator_sign_scans
+from baryblend import ExtParams, Interpolant, NodeSet
+from baryblend.oracle import (blend_form_value, blending_weights,
+                              denominator_sign_scan, denominator_sign_scans)
 
 from .conftest import perturbed_nodes
 

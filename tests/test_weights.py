@@ -324,6 +324,24 @@ class TestPrecomputedWeights:
         for row in pw.lower + pw.upper:
             assert np.all(np.isfinite(row))
 
+    def test_stored_operands_are_immutable(self):
+        # the scalar path reads the float operands and batches the arrays:
+        # a write into either would move one path's bits and not the other's
+        r = Interpolant.from_function(NodeSet.equispaced(-1.0, 1.0, 20),
+                                      np.cos, 6, 2)
+        want = r.eval(-0.97).value
+        pw = r.weights
+        for arr in [pw.fh, *pw.lower, *pw.upper,
+                    *(a for end in pw.ends for a in end[1:])]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] *= 2
+        for end in pw.end_lists:
+            for seq in end[1:]:
+                with pytest.raises(TypeError):
+                    seq[0] *= 2
+        assert r.eval(-0.97).value == want
+        assert r([-0.97, 0.31])[0] == want
+
     @pytest.mark.parametrize("a,n,params", [
         (500.0, 400, ExtParams(300, 0)),    # 2**300 / 300! underflows
     ])
