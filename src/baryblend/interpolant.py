@@ -19,11 +19,13 @@ One kernel, :func:`term_sums`, forms the terms from the points and one
 Lebesgue function are reductions of its sums. It runs the recurrence in
 three forms, each the fastest measured in its regime: a single point runs
 each end node's chain on Python floats, where numpy's fixed cost per call
-would dominate, and sums 1-D rows of terms; a batch of ``2 <= m < 1024``
+would dominate, and sums 1-D rows of terms; a batch of ``2 <= m < 768``
 points takes about ``8192 / m`` nodes per block and runs an end's ``d``
 recurrences side by side (a chain per node was 5-7x slower at 32 points);
-a larger or a compensated batch takes one node per step, each end node's
-row formed by its own chain just before its step. Every path adds the
+a larger or a compensated batch sweeps the nodes with its running sums in
+place, about ``32768 / m`` interior nodes a step (one a step from 8,193
+points on) and each end node a step of its own, its row formed by its own
+chain just before that step. Every path adds the
 terms strictly left to right in node order from 0.0 (a 1-D row with the
 sequential ``np.add.accumulate``, which numpy would sum pairwise), so the
 scalar and vectorized paths produce bit-identical results. Optional
@@ -37,15 +39,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .nodes import NodeSet, validate_samples, whole
+from .nodes import NodeSet, freeze, read_only, validate_samples, whole
 from .weights import ExtParams, PrecomputedWeights
 
 _CHUNK = 32768
 # A batch of m points takes about _BLOCK // m nodes per step of the kernel,
-# under _SWEEP_MIN points; from there on one node per step with in-place
-# updates is faster (measured on a 2-vCPU Xeon, AVX-512, numpy 2.4).
+# under _SWEEP_MIN points; from there on the sweep, with its running sums
+# updated in place, is faster, and takes _SWEEP_BLOCK // m interior nodes a
+# step, or one where that is 3 or fewer (measured on a 2-vCPU Xeon,
+# AVX-512, numpy 2.4).
 _BLOCK = 2 ** 13
-_SWEEP_MIN = 1024
+_SWEEP_MIN = 768
+_SWEEP_BLOCK = 2 ** 15
 
 
 class EvalOutcome(NamedTuple):
@@ -102,12 +107,15 @@ def zeta_eta(weights: PrecomputedWeights, x):
     return out[0], out[1][::-1]
 
 
-def _end_rows(weights: PrecomputedWeights, x, g):
-    # c_k(x) of every node k in node order for the sweep: the float fh[k],
-    # or an end node's row, formed by zeta_eta's steps for that node alone
-    # in one row per end reused from node to node; g is scratch
-    d, e, n = weights.params.d, weights.e, weights.nodes.n
-    sides = _ends(weights, x, lists=True)
+def _end_rows(weights: PrecomputedWeights, x, h, g):
+    # (k0, k1, c) in node order for the sweep, c the coefficients of the
+    # nodes k0 .. k1-1: an end node's row c_k(x), formed by zeta_eta's steps
+    # for that node alone in one row per end reused from node to node; up
+    # to h interior nodes' fh as a column, or a lone node's as a float;
+    # g is scratch
+    n, w, e = weights.nodes.n, weights.fh, weights.e
+    d = weights.params.d if e else 0
+    sides = _ends(weights, x, lists=True) if d else ()
 
     def rows(js):
         # an end's row and p = 1/(x - endpoint) live while js holds its nodes
@@ -115,7 +123,7 @@ def _end_rows(weights: PrecomputedWeights, x, g):
                   for s, (end, xe, lead, _) in enumerate(sides)
                   if (js[0], n - js[-1])[s] < d}
         for j in js:
-            c = float(weights.fh[j])    # a node in both ends: lower first
+            c = float(w[j])             # a node in both ends: lower first
             for s, i in ((0, j), (1, n - j)):
                 if i >= d:
                     continue
@@ -133,12 +141,14 @@ def _end_rows(weights: PrecomputedWeights, x, g):
                 else:
                     np.multiply(p, lead[i], out=z)
                 c = np.add(z, c, out=z)
-            yield c
+            yield j, j + 1, c
 
-    # the interior list is formed once the lower end's rows are freed
     yield from rows(range(d))
-    yield from weights.fh[d:n + 1 - d].tolist()
-    yield from rows(range(max(n + 1 - d, d), n + 1))
+    lo = n + 1 - d
+    for k0 in range(d, lo, h):
+        k1 = min(k0 + h, lo)
+        yield k0, k1, w[k0:k1, None] if k1 - k0 > 1 else w.item(k0)
+    yield from rows(range(max(lo, d), n + 1))
 
 
 def end_coefs(weights: PrecomputedWeights, x):
@@ -214,6 +224,46 @@ def _reduce(block, comp=None):
     return total, comp
 
 
+def _sweep(weights, x, ys, col, compensated):
+    # term_sums from _SWEEP_MIN points on, and on compensated batches. The
+    # running (num, den) are one stacked array, of which a basis (col given)
+    # adds only den. Up to h interior nodes take one step: three numpy calls
+    # fill the rows (v_k, t_k) of an (h, 2, m) block, and each row is added
+    # to the sums in node order. An end node, or every node where a block
+    # would hold 3 or fewer, takes 1-D rows and Python-float operands, which
+    # cost less per numpy call than 2-D views and (1, 1) columns.
+    xs, m = weights.nodes.xs, x.size
+    h = min(_SWEEP_BLOCK // max(m, 1), xs.size)
+    h = h if h > 3 else 1
+    block = np.empty((h, 2, m))
+    acc = np.zeros((2, m))
+    p = 0 if col is None else 1
+    sums = acc[p:]
+    comp = np.zeros_like(sums) if compensated else None
+    one = (*block[0], (block[0, p:],))
+    for k0, k1, c in _end_rows(weights, x, h, block[0, 1]):
+        r = k1 - k0
+        vk, tk, rows = one if r == 1 else (*block[:r].transpose(1, 0, 2),
+                                           block[:r, p:])
+        np.subtract(x, xs.item(k0) if r == 1 else xs[k0:k1, None], out=tk)
+        np.divide(c, tk, out=tk)
+        if col is not None:
+            if k0 <= col < k1:
+                acc[0] = block[col - k0, 1]
+        elif ys is None:
+            np.absolute(tk, out=vk)
+        else:
+            np.multiply(tk, ys.item(k0) if r == 1 else ys[k0:k1, None],
+                        out=vk)
+        if comp is None:
+            for row in rows:
+                sums += row
+        else:
+            for row in rows:
+                _add(sums, row, comp)
+    return acc[0], acc[1]
+
+
 def term_sums(weights, x, ys=None, col=None, compensated=False):
     """Node sums of the terms ``t_k = c_k / (x - x_k)`` at the off-node
     points ``x`` (1-D), added left to right in node order from 0.0.
@@ -231,31 +281,26 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
     holding the running sums, and :func:`_reduce` adds its rows in node
     order. A single point (compensated too) takes 1-D rows of terms, its
     end coefficients from the float chains of :func:`_point_coefs`. A
-    larger batch, or a compensated one of 2 points or more, takes one node
-    per step, its coefficients from :func:`_end_rows`, and updates its
-    running sums in place. Each sum sees the same adds in the same order.
+    larger batch, or a compensated one of 2 points or more, is swept
+    (:func:`_sweep`): it updates its running sums in place, up to
+    ``_SWEEP_BLOCK // m`` interior nodes a step, and each end node a step
+    of its own, its row from :func:`_end_rows`. Each sum sees the same
+    adds in the same order.
     """
     xs, w = weights.nodes.xs, weights.fh
     m, size = x.size, xs.size
     nl = weights.params.d if weights.e else 0
     lo = size - nl                      # end nodes: k < nl and k >= lo
     if m != 1 and (compensated or m >= _SWEEP_MIN):
-        num, den = np.zeros(m), np.zeros(m)
-        cn, cd = (np.zeros(m), np.zeros(m)) if compensated else (None, None)
-        xl = xs.tolist()
-        yl = ys.tolist() if ys is not None else None
-        t, v = np.empty((2, m))
-        coefs = _end_rows(weights, x, t) if nl else w.tolist()
-        for k, ck in enumerate(coefs):
-            np.subtract(x, xl[k], out=t)
-            np.divide(ck, t, out=t)
-            if col is None:
-                _add(num, np.absolute(t, out=v) if yl is None
-                     else np.multiply(t, yl[k], out=v), cn)
-            elif k == col:
-                num[...] = t
-            _add(den, t, cd)
-        return num, den
+        # numpy (2.4) passes a 2-D broadcast whose rows fill a quarter of
+        # its ufunc buffer (8,192 elements) or less through that buffer, at
+        # 2-4x the time per element; a buffer of _SWEEP_MIN (numpy wants a
+        # multiple of 16) keeps the rows of an uncompensated sweep out of it
+        old = np.setbufsize(_SWEEP_MIN)
+        try:
+            return _sweep(weights, x, ys, col, compensated)
+        finally:
+            np.setbufsize(old)
     # row 0 of each block carries the running sums over the earlier nodes;
     # a single point (the only compensated input here) takes 1-D rows
     cn = cd = 0.0 if compensated else None
@@ -351,18 +396,21 @@ class Interpolant:
     The interpolant has no poles on the real line and no unattainable
     points; it reproduces polynomials of degree up to ``d - e``.
     Evaluation at a point within rounding distance of a node returns the
-    sample value exactly. Instances are immutable after construction and
-    safe to evaluate concurrently.
+    sample value exactly. Instances are immutable after construction
+    (assigning an attribute raises ``AttributeError``) and safe to
+    evaluate concurrently.
     """
+
+    __setattr__ = __delattr__ = read_only
 
     def __init__(self, nodes: NodeSet, ys, d, e=0, compensated=False):
         if not isinstance(nodes, NodeSet):
             nodes = NodeSet(nodes)
-        self.nodes = nodes
-        self.ys = validate_samples(ys, nodes.n + 1)
-        self.params = ExtParams(d, e)
-        self.weights = PrecomputedWeights(nodes, self.params)
-        self.compensated = bool(compensated)
+        ys = validate_samples(ys, nodes.n + 1)
+        params = ExtParams(d, e)
+        freeze(self, nodes=nodes, ys=ys, params=params,
+               weights=PrecomputedWeights(nodes, params),
+               compensated=bool(compensated))
 
     @classmethod
     def from_function(cls, nodes, f, d, e=0, **kw):

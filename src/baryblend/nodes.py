@@ -15,6 +15,20 @@ def whole(v):
         return None
 
 
+def read_only(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of an immutable class: every
+    assignment is refused, and ``__init__`` sets attributes by
+    :func:`freeze`."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+def freeze(obj, **attrs):
+    # object.__setattr__ keeps attribute reads as fast as on a plain
+    # instance; filling vars(obj) made each read a few ns slower
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+
+
 class NodeSet:
     """Strictly increasing, finite abscissae spanning an interval [a, b].
 
@@ -36,7 +50,11 @@ class NodeSet:
         The spacing ``h`` of nodes built by :meth:`equispaced`, else
         ``None``. Only that constructor sets it, so it never describes
         nodes that are not equispaced.
+
+    Instances are immutable.
     """
+
+    __setattr__ = __delattr__ = read_only
 
     def __init__(self, xs):
         xs = np.array(xs, dtype=float)
@@ -47,11 +65,8 @@ class NodeSet:
         if not np.all(np.diff(xs) > 0.0):
             raise ValueError("nodes must be strictly increasing")
         xs.flags.writeable = False
-        self.xs = xs
-        self.a = float(xs[0])
-        self.b = float(xs[-1])
-        self.n = int(xs.size - 1)
-        self.spacing = None
+        freeze(self, xs=xs, a=float(xs[0]), b=float(xs[-1]),
+               n=int(xs.size - 1), spacing=None)
 
     @classmethod
     def equispaced(cls, a, b, n):
@@ -73,7 +88,7 @@ class NodeSet:
         xs[0] = a
         xs[n] = b
         nodes = cls(xs)
-        nodes.spacing = h
+        freeze(nodes, spacing=h)
         return nodes
 
     @property

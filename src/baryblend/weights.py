@@ -16,7 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .nodes import NodeSet, whole
+from .nodes import NodeSet, freeze, read_only, whole
 
 _EXTREME = "weight computation overflowed or underflowed; nodes too extreme"
 # Doubles in one chunk of window factors of a general-node weight build.
@@ -204,44 +204,47 @@ class PrecomputedWeights:
     Every stored family carries the same common factor. For general nodes
     the geometric mean of the weight magnitudes is divided out of all of
     them. A build is refused when a stored weight is zero or not finite,
-    or when forming one overflows.
+    or when forming one overflows. Instances are immutable: assigning an
+    attribute raises ``AttributeError``.
     """
+
+    __setattr__ = __delattr__ = read_only
 
     def __init__(self, nodes: NodeSet, params: ExtParams):
         params.validate(nodes)
-        self.nodes, self.params, self.e = nodes, params, params.e
+        d, e, xs = params.d, params.e, nodes.xs
         # out-of-range values are refused below, not reported as warnings
         with np.errstate(all="ignore"):
             try:
-                fh = fh_weights(nodes, params.d)
+                fh = fh_weights(nodes, d)
                 lower, upper = end_weight_tables(nodes, params)
             except OverflowError:
                 raise ValueError(_EXTREME) from None
             g = 1.0
             if not nodes.is_equispaced:
                 g = float(np.exp(np.mean(np.log(np.abs(fh)))))
-            self.fh = fh / g
-            self.fh.flags.writeable = False  # before ends takes views of it
-            self.lower = [row / g for row in lower]
-            self.upper = [row / g for row in upper]
-        self.lower_lead = self.lower[0] if self.e else None
-        self.upper_lead = self.upper[0] if self.e else None
+            fh = fh / g
+            fh.flags.writeable = False      # before ends takes views of it
+            lower = [row / g for row in lower]
+            upper = [row / g for row in upper]
         # each end as (endpoint, its d nodes from the endpoint inward, their
         # leads times the end's sign, their fh): the upper end's node n - i
         # is then the lower end's node i, so one recurrence serves both
-        self.ends, d, xs = (), params.d, nodes.xs
-        if self.e:
+        ends = ()
+        if e:
             sign = -1.0 if (nodes.n + 1 - d) % 2 else 1.0
-            self.ends = ((nodes.a, xs[:d], -self.lower_lead, self.fh[:d]),
-                         (nodes.b, xs[::-1][:d], sign * self.upper_lead[::-1],
-                          self.fh[::-1][:d]))
-        self.end_lists = tuple((end, *(tuple(a.tolist()) for a in ops))
-                               for end, *ops in self.ends)
-        for arr in [self.fh, *self.lower, *self.upper, *(s[2] for s in self.ends)]:
+            ends = ((nodes.a, xs[:d], -lower[0], fh[:d]),
+                    (nodes.b, xs[::-1][:d], sign * upper[0][::-1], fh[::-1][:d]))
+        for arr in [fh, *lower, *upper, *(s[2] for s in ends)]:
             # no weight is zero in exact arithmetic: a zero one underflowed
             if not np.all(np.isfinite(arr) & (arr != 0.0)):
                 raise ValueError(_EXTREME)
             arr.flags.writeable = False
+        freeze(self, nodes=nodes, params=params, e=e, fh=fh, lower=lower,
+               upper=upper, lower_lead=lower[0] if e else None,
+               upper_lead=upper[0] if e else None, ends=ends,
+               end_lists=tuple((end, *(tuple(a.tolist()) for a in ops))
+                               for end, *ops in ends))
 
     def check(self, nodes: NodeSet, params: ExtParams):
         """Refuse, with ``ValueError``, other nodes or parameters than these

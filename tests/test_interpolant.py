@@ -6,8 +6,8 @@ import pytest
 from baryblend import (ChebyshevBaseline, ExtParams, Interpolant, NodeSet,
                        PrecomputedWeights, get_function, lebesgue_function)
 from baryblend import interpolant
-from baryblend.interpolant import (_SWEEP_MIN, _point_coefs, end_coefs,
-                                   term_rows, term_sums, zeta_eta)
+from baryblend.interpolant import (_SWEEP_BLOCK, _SWEEP_MIN, _point_coefs,
+                                   end_coefs, term_rows, term_sums, zeta_eta)
 from baryblend.oracle import dense_values, fh_value
 
 from .conftest import (barycentric_product, log_perturbed_nodes,
@@ -231,6 +231,29 @@ class TestEval:
             assert out.at_node is None
             assert abs(out.value - ys[j]) < 1e-6 * max(1.0, abs(ys[j]))
 
+    def test_instances_are_read_only(self):
+        # assigning e = 0 to the weights made the (6, 2) interpolant read
+        # 0.565299531341515 at -0.97, the e = 0 value; every assignment is
+        # refused and leaves the values as they were
+        nodes = NodeSet.equispaced(-1.0, 1.0, 20)
+        r = Interpolant.from_function(nodes, np.cos, 6, 2)
+        x = np.linspace(-0.99, 0.99, 41)
+        before = bits(r(x))
+        for obj, name, value in ((r, "params", ExtParams(6, 3)),
+                                 (r, "compensated", True),
+                                 (r.weights, "e", 0), (r.nodes, "spacing", 0.2),
+                                 (r, "eval", None)):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert r.eval(-0.97).value == 0.5652993253578369
+        assert np.array_equal(bits(r(x)), before)
+        assert (r.e, r.weights.e, r.compensated) == (2, 2, False)
+        # the Chebyshev baseline's class-level e = 0 still serves the kernel
+        cheb = ChebyshevBaseline(get_function("runge"), 20)
+        assert cheb.e == 0 and np.all(np.isfinite(cheb(x)))
+
 
 class TestOperationCount:
     @staticmethod
@@ -294,11 +317,13 @@ LARGE_SIZES = (4095, 4096, 4097, 32767, 32768, 32769, 100_001)
 
 def assert_large_batches_match(f, x0, sizes=LARGE_SIZES):
     """``f`` on each prefix ``x[:m]``, ``m`` in ``sizes``, of ``x0``
-    repeated, equals ``f`` on ``x0`` in slices of 1,000 points, and on
-    scalars, bit for bit (repeating ``x0`` keeps the slices few)."""
+    repeated, equals ``f`` on ``x0`` in slices of ``_SWEEP_MIN - 1``
+    points, and on scalars, bit for bit (repeating ``x0`` keeps the slices
+    few)."""
     x = np.resize(x0, LARGE_SIZES[-1])
+    k = _SWEEP_MIN - 1
     small = np.resize(np.concatenate(
-        [f(x0[i:i + 1000]) for i in range(0, x0.size, 1000)]), x.size)
+        [f(x0[i:i + k]) for i in range(0, x0.size, k)]), x.size)
     pick = [0, 4094, 4095, 4096, 32767, 32768, 65536, x.size - 1]
     assert np.array_equal(bits([f(x[p]) for p in pick]), bits(small[pick]))
     for m in sizes:
@@ -414,10 +439,12 @@ class TestKernel:
         (30, 10, 10),                       # e = d
     ])
     def test_large_batches_match_small_slices(self, n, d, e, rng):
-        # a batch of 1024 points or more steps one node at a time over
-        # chunks of up to 32,768 points, each end node's row formed just
-        # before its step; slices under 1,024 points take node blocks, and
-        # scalars one-column blocks: every batch size must give the same bits
+        # a batch of _SWEEP_MIN points or more sweeps chunks of up to 32,768
+        # points, interior nodes in blocks of 32,768 // m (one a step from
+        # 8,193 points on), each end node's row formed just before its
+        # step; slices under _SWEEP_MIN points take node blocks with
+        # zeta_eta's end rows, and scalars 1-D rows: every batch size must
+        # give the same bits
         r = kernel_case(n, d, e, rng)
         rc = Interpolant(r.nodes, r.ys, d, e, compensated=True)
         x = rng.uniform(-1.1, 1.1, 33_000)
@@ -592,6 +619,41 @@ class TestKernel:
                                       runge, d=8, e=4)
         x = rng.uniform(-5.0, 5.0, 4096)
         assert traced_peak(r, x) < 8 * 2 ** 20
+
+    def test_sweep_block_memory(self, rng):
+        # a 4,096-point chunk at n = 10,000 holds one (8, 2, 4096) block of
+        # _SWEEP_BLOCK pairs of terms and its running sums, no list of the
+        # nodes (the one-node-a-step sweep peaked at 1.17 MiB here)
+        r = Interpolant.from_function(NodeSet.equispaced(-5.0, 5.0, 10_000),
+                                      runge, d=8, e=4)
+        x = rng.uniform(-5.0, 5.0, 4096)
+        x[::100] = r.nodes.xs[rng.integers(0, 10_001, x[::100].size)]
+        assert traced_peak(r, x) < 2 * 16 * _SWEEP_BLOCK
+
+    @pytest.mark.parametrize("n,d,e,sizes", [
+        # 1,023-1,025 points take 32 or 31 interior nodes a step; 4,096
+        # points take 8 over the 973 interior nodes, 121 blocks and one of 5
+        (1000, 14, 4, (1023, 1024, 1025, 4096)),
+        (1000, 14, 0, (1024, 4096)),        # e = 0: every node interior
+        # 8,192 points take 4 of the 201 nodes a step, the last one alone;
+        # from 8,193 points every node takes a step of its own
+        (200, 5, 0, (8192, 8193)),
+        (20, 14, 4, (1024, 4096)),          # the end blocks overlap
+    ])
+    def test_sweep_block_edges(self, n, d, e, sizes, rng):
+        # the sweep against the node blocks under _SWEEP_MIN points and
+        # against scalars: values, compensated values, the basis functions
+        # of an end node and an interior one, and the Lebesgue function
+        r = kernel_case(n, d, e, rng)
+        rc = Interpolant(r.nodes, r.ys, d, e, compensated=True)
+        x = rng.uniform(-1.1, 1.1, max(sizes))
+        x[::97] = r.nodes.xs[rng.integers(0, n + 1, x[::97].size)]
+        for f in (r, rc, lambda v: r.basis(d - 1, v),
+                  lambda v: r.basis(n // 2, v),
+                  lambda v: lebesgue_function(r.nodes, r.params, v, r.weights)):
+            assert_large_batches_match(f, x, sizes)
+        want = dense_values(r.nodes, r.ys, r.params, x[:sizes[0]], True)
+        assert np.array_equal(bits(rc(x[:sizes[0]])), bits(want))
 
 
 class TestBasis:
