@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -247,6 +248,18 @@ class TestOutputHandling:
         assert main(argv + ["--out", str(f2)]) == 0
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("lebesgue --n 64 --d 12 --e 4 --interval -1 1", "8adcc2f3fe79f9a2"),
+        ("scan --n 32 --dmax 4 --emax 3 --grid 2001 --sigma 0.001 --seed 5",
+         "d97163e94c305bae"),
+        ("runge-table --grid 2001", "eed8ef610b83fec7"),
+    ])
+    def test_stdout_bytes_are_pinned(self, argv, digest, capsys):
+        # the first 16 hex digits of the stdout sha256
+        code, out, err = run_cli(argv.split(), capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         argv = ["eval", "--n", "4", "--d", "1", "--grid", "5",
