@@ -139,7 +139,7 @@ def error_report(approx, f: ReferenceFunction, grid: GridSpec) -> ErrorReport:
     pts = grid.points(*f.interval)
     err = np.abs(np.asarray(approx(pts)) - f(pts))
     terms = np.diff(pts) * (err[1:] + err[:-1]) / 2.0
-    return ErrorReport(float(err.max()), math.fsum(terms.tolist()))
+    return ErrorReport(float(err.max()), math.fsum(memoryview(terms)))
 
 
 # -- Lebesgue function and constant --------------------------------------
@@ -163,12 +163,17 @@ def lebesgue_function(nodes: NodeSet, params: ExtParams, x,
         weights = PrecomputedWeights(nodes, params)
     else:
         weights.check(nodes, params)
+    return _lebesgue_evaluator(weights)(x)
+
+
+def _lebesgue_evaluator(weights: PrecomputedWeights):
+    nodes, at_nodes = weights.nodes, np.ones(weights.nodes.n + 1)
 
     def off_nodes(xo):
         abssum, den = term_sums(weights, xo)
         return abssum / np.abs(den)
 
-    return pointwise(nodes, x, np.ones(nodes.n + 1), off_nodes)
+    return lambda x: pointwise(nodes, x, at_nodes, off_nodes)
 
 
 def _golden_max(fn, lo, hi):
@@ -197,20 +202,23 @@ def _golden_max(fn, lo, hi):
 
 def lebesgue_constant(nodes: NodeSet, params: ExtParams) -> LebesgueReport:
     """Estimate the Lebesgue constant: a scan of the grid of ``10 * (d + 1)``
-    points per node subinterval, then golden-section refinement inside
-    the bracketing grid cell. The estimate never falls below the grid
-    maximum.
+    points per node subinterval, then golden-section refinement inside the
+    bracketing grid cell, through one evaluator on one weights build. The
+    estimate never falls below the grid maximum.
     """
-    weights = PrecomputedWeights(nodes, params)
-    grid = GridSpec(2, per_subinterval=10 * (params.d + 1))
+    return _lebesgue_constant(PrecomputedWeights(nodes, params))
+
+
+def _lebesgue_constant(weights: PrecomputedWeights) -> LebesgueReport:
+    nodes, fn = weights.nodes, _lebesgue_evaluator(weights)
+    grid = GridSpec(2, per_subinterval=10 * (weights.params.d + 1))
     pts = grid.points(nodes.a, nodes.b, nodes)
-    vals = lebesgue_function(nodes, params, pts, weights)
+    vals = fn(pts)
     k = int(np.argmax(vals))
     best_x, best_f = float(pts[k]), float(vals[k])
     lo = pts[k - 1] if k > 0 else pts[k]
     hi = pts[k + 1] if k + 1 < pts.size else pts[k]
     if hi > lo:
-        fn = lambda x: lebesgue_function(nodes, params, x, weights)
         rx, rf = _golden_max(fn, float(lo), float(hi))
         if rf > best_f:
             best_x, best_f = float(rx), float(rf)
@@ -364,9 +372,9 @@ def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
 
     Cells with ``e > d`` or ``d > n`` are emitted as sentinels so the
     output stays rectangular; a negative or non-integral ``d`` or ``e``,
-    or an empty range, is refused. Every valid cell is pure and
-    independent; results are assembled in (d, e) order regardless of
-    evaluation order.
+    or an empty range, is refused. Every valid cell is pure and independent,
+    its interpolant and Lebesgue constant share one weights build, and the
+    results are assembled in (d, e) order regardless of evaluation order.
     """
     ds, es = [whole(d) for d in d_range], [whole(e) for e in e_range]
     if not (ds and es) or None in ds + es or min(ds + es) < 0:
@@ -380,7 +388,7 @@ def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
                 continue
             interp = Interpolant(nodes, ys, d, e)
             rep = error_report(interp, f, grid)
-            leb = lebesgue_constant(nodes, ExtParams(d, e))
+            leb = _lebesgue_constant(interp.weights)
             cells.append(ScanCell(d, e, rep.linf, rep.l1, leb.lambda_max))
     seed, sigma = (noise.seed, noise.sigma) if noise else (None, None)
     return ScanResult(nodes.n, cells, seed, sigma)

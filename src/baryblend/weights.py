@@ -227,6 +227,11 @@ class PrecomputedWeights:
             fh.flags.writeable = False      # before ends takes views of it
             lower = [row / g for row in lower]
             upper = [row / g for row in upper]
+        # no weight is zero in exact arithmetic: a zero one underflowed (the
+        # leads in ends below are lower and upper up to exact sign and order)
+        stored = np.concatenate([fh, *lower, *upper])
+        if not np.all(np.isfinite(stored) & (stored != 0.0)):
+            raise ValueError(_EXTREME)
         # each end as (endpoint, its d nodes from the endpoint inward, their
         # leads times the end's sign, their fh): the upper end's node n - i
         # is then the lower end's node i, so one recurrence serves both
@@ -235,10 +240,7 @@ class PrecomputedWeights:
             sign = -1.0 if (nodes.n + 1 - d) % 2 else 1.0
             ends = ((nodes.a, xs[:d], -lower[0], fh[:d]),
                     (nodes.b, xs[::-1][:d], sign * upper[0][::-1], fh[::-1][:d]))
-        for arr in [fh, *lower, *upper, *(s[2] for s in ends)]:
-            # no weight is zero in exact arithmetic: a zero one underflowed
-            if not np.all(np.isfinite(arr) & (arr != 0.0)):
-                raise ValueError(_EXTREME)
+        for arr in [*lower, *upper, *(s[2] for s in ends)]:
             arr.flags.writeable = False
         freeze(self, nodes=nodes, params=params, e=e, fh=fh, lower=lower,
                upper=upper, lower_lead=lower[0] if e else None,

@@ -195,6 +195,17 @@ class TestLebesgue:
         l4 = lebesgue_constant(nodes, ExtParams(12, 4)).lambda_max
         assert l4 < l0
 
+    @pytest.mark.parametrize("jittered", [False, True])
+    @pytest.mark.parametrize("n,d,e", [(64, 12, 4), (64, 12, 12), (64, 0, 0),
+                                       (33, 8, 3), (20, 6, 6), (200, 10, 2)])
+    def test_constant_is_the_function_at_its_argmax(self, n, d, e, jittered,
+                                                    rng):
+        nodes = (perturbed_nodes(-1.0, 1.0, n, rng) if jittered
+                 else NodeSet.equispaced(-1.0, 1.0, n))
+        params = ExtParams(d, e)
+        rep = lebesgue_constant(nodes, params)
+        assert rep.lambda_max == lebesgue_function(nodes, params, rep.argmax_x)
+
 
 class TestErrorReport:
     def test_l1_bounded_by_interval_times_linf(self, rng):
@@ -355,6 +366,18 @@ class TestScans:
                 assert c.linf is None and c.lebesgue is None
             else:
                 assert c.linf is not None and c.lebesgue is not None
+
+    def test_scan_builds_one_weights_object_per_cell(self, monkeypatch):
+        builds = []
+        init = PrecomputedWeights.__init__
+
+        def counted(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PrecomputedWeights, "__init__", counted)
+        res = scan_de(RUNGE, 8, range(4), range(4), GridSpec(501))
+        assert len(builds) == sum(c.linf is not None for c in res.cells) == 10
 
     def test_scan_d_above_n_sentinel(self):
         res = scan_de(RUNGE, 4, range(6, 8), range(1), GridSpec(501))
