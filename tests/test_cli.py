@@ -254,6 +254,8 @@ class TestOutputHandling:
         ("scan --n 32 --dmax 4 --emax 3 --grid 2001 --sigma 0.001 --seed 5",
          "d97163e94c305bae"),
         ("runge-table --grid 2001", "eed8ef610b83fec7"),
+        # its batches go through the sweep in 32,768-point chunks
+        ("eval --n 40 --d 14 --e 4 --grid 100001", "43361cd304c95e1e"),
     ])
     def test_stdout_bytes_are_pinned(self, argv, digest, capsys):
         # the first 16 hex digits of the stdout sha256

@@ -309,6 +309,7 @@ BLOCK_CASES = [
     (5, 4, 0), (5, 4, 3), (5, 4, 4),
     (30, 10, 0), (30, 10, 3), (30, 10, 10),
     (1000, 14, 0), (1000, 14, 3), (1000, 14, 14),
+    (200, 50, 6),       # d above the node-block height at 767 points
 ]
 
 
@@ -412,6 +413,7 @@ class TestKernel:
 
         unit = np.zeros(n + 1)
         want = {None: dense(r.ys)}
+        assert np.isfinite(want[None]).all()
         for j in {0, n, d - 1, n - d + 1}:
             unit[:] = 0.0
             unit[j] = 1.0
