@@ -151,19 +151,13 @@ class LebesgueReport:
     argmax_x: float
 
 
-def lebesgue_function(nodes: NodeSet, params: ExtParams, x,
-                      weights: PrecomputedWeights | None = None):
+def lebesgue_function(nodes: NodeSet, params: ExtParams, x):
     """Sum of absolute basis-function values at ``x`` (scalar or array).
 
     Equals 1 exactly at nodes; at least 1 everywhere (the basis functions
-    sum to one). ``weights`` built for other nodes or parameters are
-    refused.
+    sum to one).
     """
-    if weights is None:
-        weights = PrecomputedWeights(nodes, params)
-    else:
-        weights.check(nodes, params)
-    return _lebesgue_evaluator(weights)(x)
+    return _lebesgue_evaluator(PrecomputedWeights(nodes, params))(x)
 
 
 def _lebesgue_evaluator(weights: PrecomputedWeights):
@@ -358,12 +352,6 @@ class ScanResult:
     cells: list[ScanCell]
     seed: Optional[int]
     sigma: Optional[float]
-
-    def cell(self, d, e) -> ScanCell:
-        for c in self.cells:
-            if c.d == d and c.e == e:
-                return c
-        raise KeyError((d, e))
 
 
 def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,

@@ -17,19 +17,20 @@ node, so one evaluation costs O(n + d*e).
 One kernel, :func:`term_sums`, forms the terms from the points and one
 :class:`PrecomputedWeights` and sums them; values, basis functions and the
 Lebesgue function are reductions of its sums. It runs the recurrence in
-three forms, each the fastest measured in its regime: a single point runs
-each end node's chain on Python floats, where numpy's fixed cost per call
-would dominate, and sums 1-D rows of terms; a batch of ``2 <= m < 768``
-points takes about ``8192 / m`` nodes per block and runs an end's ``d``
+three forms, each the fastest measured in its regime, and every form takes
+about ``32768 / m`` nodes a step at ``m`` points: a single point runs each
+end node's chain on Python floats, where numpy's fixed cost per call would
+dominate, and sums 1-D rows of up to 32,768 terms; a batch of
+``2 <= m < 768`` points takes node blocks and runs an end's ``d``
 recurrences side by side (a chain per node was 5-7x slower at 32 points);
 a larger or a compensated batch sweeps the nodes with its running sums in
-place, about ``32768 / m`` interior nodes a step (one a step from 8,193
-points on) and each end node a step of its own, its row formed by its own
-chain just before that step. Every path adds the
-terms strictly left to right in node order from 0.0 (a 1-D row with the
-sequential ``np.add.accumulate``, which numpy would sum pairwise), so the
-scalar and vectorized paths produce bit-identical results. Optional
-two-term (Kahan) compensation is available behind a flag.
+place, interior nodes in blocks (one a step from 8,193 points on) and each
+end node a step of its own, its row formed by its own chain just before
+that step. Every path adds the terms strictly left to right in node order
+from 0.0 (a 1-D row with the sequential ``np.add.accumulate``, which numpy
+would sum pairwise), so the scalar and vectorized paths produce
+bit-identical results. Optional two-term (Kahan) compensation is available
+behind a flag.
 """
 
 from __future__ import annotations
@@ -43,14 +44,13 @@ from .nodes import NodeSet, freeze, read_only, validate_samples, whole
 from .weights import ExtParams, PrecomputedWeights
 
 _CHUNK = 32768
-# A batch of m points takes about _BLOCK // m nodes per step of the kernel,
-# under _SWEEP_MIN points; from there on the sweep, with its running sums
-# updated in place, is faster, and takes _SWEEP_BLOCK // m interior nodes a
-# step, or one where that is 3 or fewer (measured on a 2-vCPU Xeon,
-# AVX-512, numpy 2.4).
-_BLOCK = 2 ** 13
+# A batch of m points takes about _BLOCK // m nodes per step of the kernel
+# (a single point up to _BLOCK), in node blocks under _SWEEP_MIN points; from
+# there on the sweep, with its running sums updated in place, is faster, and
+# takes that many interior nodes a step, or one where that is 3 or fewer
+# (measured on a 2-vCPU Xeon, AVX-512, numpy 2.4).
+_BLOCK = 2 ** 15
 _SWEEP_MIN = 768
-_SWEEP_BLOCK = 2 ** 15
 
 
 class EvalOutcome(NamedTuple):
@@ -195,11 +195,8 @@ def _point_coefs(weights: PrecomputedWeights, x):
     return out[0], out[1][::-1]
 
 
-def _add(total, v, comp=None):
-    # total += v in place; Kahan-compensated when a compensation array is given
-    if comp is None:
-        total += v
-        return
+def _add(total, v, comp):
+    # total += v in place, Kahan-compensated by the array comp
     y = v - comp
     s = total + y
     np.subtract(s - total, y, out=comp)
@@ -233,7 +230,7 @@ def _sweep(weights, x, ys, col, compensated):
     # would hold 3 or fewer, takes 1-D rows and Python-float operands, which
     # cost less per numpy call than 2-D views and (1, 1) columns.
     xs, m = weights.nodes.xs, x.size
-    h = min(_SWEEP_BLOCK // max(m, 1), xs.size)
+    h = min(_BLOCK // max(m, 1), xs.size)
     h = h if h > 3 else 1
     block = np.empty((h, 2, m))
     acc = np.zeros((2, m))
@@ -276,16 +273,16 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
     ``num`` is ``sum_k |t_k|`` instead; with ``col=j`` it is ``t_j``.
     ``compensated`` adds every sum with two-term (Kahan) compensation.
 
-    A batch of ``m < _SWEEP_MIN`` points takes ``h = _BLOCK // m`` nodes
-    per step: a few ufuncs form the ``(h, m)`` block of terms under a row
-    holding the running sums, and :func:`_reduce` adds its rows in node
-    order. A single point (compensated too) takes 1-D rows of terms, its
-    end coefficients from the float chains of :func:`_point_coefs`. A
-    larger batch, or a compensated one of 2 points or more, is swept
-    (:func:`_sweep`): it updates its running sums in place, up to
-    ``_SWEEP_BLOCK // m`` interior nodes a step, and each end node a step
-    of its own, its row from :func:`_end_rows`. Each sum sees the same
-    adds in the same order.
+    Every path takes up to ``h = _BLOCK // m`` nodes a step. A batch of
+    ``m < _SWEEP_MIN`` points takes node blocks: a few ufuncs form the
+    ``(h, m)`` block of terms under a row holding the running sums, and
+    :func:`_reduce` adds its rows in node order. A single point
+    (compensated too) takes 1-D rows of terms, its end coefficients from
+    the float chains of :func:`_point_coefs`. A larger batch, or a
+    compensated one of 2 points or more, is swept (:func:`_sweep`): it
+    updates its running sums in place, up to ``h`` interior nodes a step,
+    and each end node a step of its own, its row from :func:`_end_rows`.
+    Each sum sees the same adds in the same order.
     """
     xs, w = weights.nodes.xs, weights.fh
     m, size = x.size, xs.size

@@ -12,11 +12,10 @@ for bit. It can also count the arithmetic it spends per point.
 ``fh_value`` is the classical ``e = 0`` interpolant as one plain loop over
 the node weights, a path independent of the end-correction machinery.
 
-``denominator_sign_scan`` evaluates the common-denominator polynomial of
+``denominator_sign_scans`` evaluates the common-denominator polynomial of
 the blend form (the one whose strict positivity rules out real poles) on a
-grid, via products over a node multiset with the endpoint nodes repeated
-``e`` extra times each; ``denominator_sign_scans`` does so for a range of
-``d`` at once.
+grid, for a range of ``d`` at one ``e``, via products over a node multiset
+with the endpoint nodes repeated ``e`` extra times each.
 """
 
 from __future__ import annotations
@@ -180,8 +179,9 @@ class SignScanReport:
     grid_size: int
 
 
-def denominator_sign_scan(nodes: NodeSet, params: ExtParams, grid) -> SignScanReport:
-    """Scan the blend-form common denominator for sign changes.
+def denominator_sign_scans(nodes: NodeSet, e, ds, grid) -> list[SignScanReport]:
+    """Scan the blend-form common denominator for sign changes, one report
+    for each ``d`` in ``ds`` at one ``e``.
 
     Clearing the blend of its ``1/(x - x_j)`` singularities multiplies
     numerator and denominator by a polynomial whose roots are the nodes,
@@ -195,14 +195,7 @@ def denominator_sign_scan(nodes: NodeSet, params: ExtParams, grid) -> SignScanRe
     ``sum_i mu_i / sum_i |mu_i|``, computed through log-magnitude prefix
     sums so arbitrary ``n`` cannot overflow. Strictly positive values
     everywhere witness the absence of real poles; a nonpositive value is
-    reported, not raised.
-    """
-    return denominator_sign_scans(nodes, params.e, [params.d], grid)[0]
-
-
-def denominator_sign_scans(nodes: NodeSet, e, ds, grid) -> list[SignScanReport]:
-    """:func:`denominator_sign_scan` for each ``d`` in ``ds`` at one ``e``,
-    one report per ``d``. The prefix and suffix sums depend only on the
+    reported, not raised. The prefix and suffix sums depend only on the
     nodes, ``e`` and the grid, so they are formed once for all of ``ds``.
     """
     ds = [ExtParams(d, e).validate(nodes).d for d in ds]

@@ -59,7 +59,7 @@ def _error_and_rounding_bound(n, d, e, grid):
     pts = grid.points(*RUNGE.interval)
     fx = RUNGE(pts)
     err = np.abs(r(pts) - fx)
-    lam = lebesgue_function(nodes, r.params, pts, r.weights)
+    lam = lebesgue_function(nodes, r.params, pts)
     bound = U * ((3 * n + 4) * lam * np.abs(ys).max()
                  + (3 * n + 2) * lam * np.abs(fx) + 3.0 * np.abs(fx))
     return err, bound
@@ -353,8 +353,9 @@ NOISY_LINF_FH = 2.743778137366537e-06
 def test_criterion_8_noise_sensitivity():
     noise = NoiseSpec(sigma=1e-8, seed=2024)
     res = scan_de(RUNGE, 64, [12], [0, 4], GridSpec(100_001), noise=noise)
-    ext = res.cell(12, 4).linf
-    fh = res.cell(12, 0).linf
+    cell = {(c.d, c.e): c for c in res.cells}
+    ext = cell[12, 4].linf
+    fh = cell[12, 0].linf
     ok_bound = ext < 1e-5
     ok_gap = fh >= 10.0 * ext
     ok_golden_vals = (ext == pytest.approx(NOISY_LINF_EXT, rel=1e-12)

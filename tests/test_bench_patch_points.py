@@ -71,7 +71,7 @@ def test_every_span_records(capsys):
         x = np.linspace(-0.95, 0.95, 32)
         r(x), r.eval(0.3), r.basis(3, x)
         bb.interpolant.term_rows(r.nodes, r.params, r.weights, x)
-        bb.analysis.lebesgue_function(r.nodes, r.params, 0.3, r.weights)
+        bb.analysis.lebesgue_function(r.nodes, r.params, 0.3)
         for argv in (["runge-table", "--grid", "11"],
                      ["lebesgue", "--n", "8", "--d", "3", "--e", "1"],
                      ["scan", "--n", "8", "--dmax", "2", "--emax", "1",

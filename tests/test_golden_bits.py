@@ -93,7 +93,7 @@ def test_golden_bits(case):
     with np.errstate(all="ignore"):
         for x in batches:
             out += [r(x), rc(x), r.basis(0, x), r.basis(lo, x),
-                    lebesgue_function(r.nodes, r.params, x, w)]
+                    lebesgue_function(r.nodes, r.params, x)]
         out.append([r.eval(v).value for x in batches for v in x[:40]])
     assert (inputs, digest(out)) == GOLDEN[case]
 

@@ -6,7 +6,7 @@ import pytest
 from baryblend import (ChebyshevBaseline, ExtParams, Interpolant, NodeSet,
                        PrecomputedWeights, get_function, lebesgue_function)
 from baryblend import interpolant
-from baryblend.interpolant import (_SWEEP_BLOCK, _SWEEP_MIN, _point_coefs,
+from baryblend.interpolant import (_BLOCK, _SWEEP_MIN, _point_coefs,
                                    end_coefs, term_rows, term_sums, zeta_eta)
 from baryblend.oracle import dense_values, fh_value
 
@@ -308,8 +308,11 @@ BLOCK_CASES = [
     (4, 4, 0), (4, 4, 3), (4, 4, 4),      # the end blocks overlap
     (5, 4, 0), (5, 4, 3), (5, 4, 4),
     (30, 10, 0), (30, 10, 3), (30, 10, 10),
+    # a batch of m points takes node blocks of 32,768 // m nodes: at m = 33
+    # blocks of 992 cut into the upper end of n = 1000, and at m = 767
+    # blocks of 42 cut into both ends of d = 50
     (1000, 14, 0), (1000, 14, 3), (1000, 14, 14),
-    (200, 50, 6),       # d above the node-block height at 767 points
+    (200, 50, 6),
 ]
 
 
@@ -418,7 +421,7 @@ class TestKernel:
             unit[:] = 0.0
             unit[j] = 1.0
             want[j] = dense(unit)
-        leb = lambda v: lebesgue_function(r.nodes, r.params, v, r.weights)
+        leb = lambda v: lebesgue_function(r.nodes, r.params, v)
         for (x, pick), a, b in zip(batches, cuts, cuts[1:]):
             vec = r(x)
             assert np.array_equal(bits(vec), bits(want[None][a:b]))
@@ -452,7 +455,7 @@ class TestKernel:
         x = rng.uniform(-1.1, 1.1, 33_000)
         x[::89] = r.nodes.xs[rng.integers(0, n + 1, x[::89].size)]
         for f in (r, lambda v: r.basis(n - d + 1, v),
-                  lambda v: lebesgue_function(r.nodes, r.params, v, r.weights)):
+                  lambda v: lebesgue_function(r.nodes, r.params, v)):
             assert_large_batches_match(f, x)
         # the compensated sweep is the slowest path: at n = 1000 it stops
         # at 32,769 points, and the smaller n cover 100,001
@@ -481,8 +484,8 @@ class TestKernel:
         assert traced_peak(r, x) < 3.0 * 2 ** 20
 
     def test_single_point_spans_blocks(self, rng):
-        # past 8192 nodes a single point takes more than one block
-        r = Interpolant.from_function(NodeSet.equispaced(-5.0, 5.0, 10_000),
+        # past 32,768 nodes a single point takes more than one block
+        r = Interpolant.from_function(NodeSet.equispaced(-5.0, 5.0, 40_000),
                                       runge, d=8, e=4)
         x = rng.uniform(-5.0, 5.0, 5)
         want = dense_values(r.nodes, r.ys, r.params, x)
@@ -557,7 +560,7 @@ class TestKernel:
         x = rng.uniform(-1.0, 1.0, 40)
         x = x[r.nodes.snap_indices(x) < 0]
         want = [r(x), rc(x), r.basis(0, x), r.basis(n, x),
-                lebesgue_function(r.nodes, r.params, x, r.weights)]
+                lebesgue_function(r.nodes, r.params, x)]
 
         def refuse(*args):
             raise AssertionError("a single point took a batch path")
@@ -566,7 +569,7 @@ class TestKernel:
         monkeypatch.setattr(interpolant, "_end_rows", refuse)
         got = [[r.eval(v).value for v in x], [rc.eval(v).value for v in x],
                [r.basis(0, v) for v in x], [r.basis(n, v) for v in x],
-               [lebesgue_function(r.nodes, r.params, v, r.weights) for v in x]]
+               [lebesgue_function(r.nodes, r.params, v) for v in x]]
         for a, b in zip(got, want):
             assert np.array_equal(bits(a), bits(b))
         with pytest.raises(AssertionError, match="batch path"):
@@ -624,13 +627,13 @@ class TestKernel:
 
     def test_sweep_block_memory(self, rng):
         # a 4,096-point chunk at n = 10,000 holds one (8, 2, 4096) block of
-        # _SWEEP_BLOCK pairs of terms and its running sums, no list of the
+        # _BLOCK pairs of terms and its running sums, no list of the
         # nodes (the one-node-a-step sweep peaked at 1.17 MiB here)
         r = Interpolant.from_function(NodeSet.equispaced(-5.0, 5.0, 10_000),
                                       runge, d=8, e=4)
         x = rng.uniform(-5.0, 5.0, 4096)
         x[::100] = r.nodes.xs[rng.integers(0, 10_001, x[::100].size)]
-        assert traced_peak(r, x) < 2 * 16 * _SWEEP_BLOCK
+        assert traced_peak(r, x) < 2 * 16 * _BLOCK
 
     @pytest.mark.parametrize("n,d,e,sizes", [
         # 1,023-1,025 points take 32 or 31 interior nodes a step; 4,096
@@ -652,7 +655,7 @@ class TestKernel:
         x[::97] = r.nodes.xs[rng.integers(0, n + 1, x[::97].size)]
         for f in (r, rc, lambda v: r.basis(d - 1, v),
                   lambda v: r.basis(n // 2, v),
-                  lambda v: lebesgue_function(r.nodes, r.params, v, r.weights)):
+                  lambda v: lebesgue_function(r.nodes, r.params, v)):
             assert_large_batches_match(f, x, sizes)
         want = dense_values(r.nodes, r.ys, r.params, x[:sizes[0]], True)
         assert np.array_equal(bits(rc(x[:sizes[0]])), bits(want))

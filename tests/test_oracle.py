@@ -3,7 +3,7 @@ import pytest
 
 from baryblend import ExtParams, Interpolant, NodeSet
 from baryblend.oracle import (blend_form_value, blending_weights,
-                              denominator_sign_scan, denominator_sign_scans)
+                              denominator_sign_scans)
 
 from .conftest import perturbed_nodes
 
@@ -89,8 +89,8 @@ class TestDenominatorSignScan:
 
     def test_positive_on_dense_grid(self):
         nodes = NodeSet.equispaced(-1, 1, 16)
-        rep = denominator_sign_scan(nodes, ExtParams(8, 4),
-                                    np.linspace(-1, 1, 10001))
+        rep = denominator_sign_scans(nodes, 4, [8],
+                                     np.linspace(-1, 1, 10001))[0]
         assert rep.all_positive
         assert rep.min_value > 0.0
 
@@ -98,26 +98,26 @@ class TestDenominatorSignScan:
         # at x0 exactly one product survives, so the normalized value is 1
         nodes = NodeSet.equispaced(-2, 3, 12)
         for d, e in ((4, 2), (7, 7), (3, 0)):
-            rep = denominator_sign_scan(nodes, ExtParams(d, e),
-                                        np.array([nodes.a]))
+            rep = denominator_sign_scans(nodes, e, [d],
+                                         np.array([nodes.a]))[0]
             assert rep.min_value == pytest.approx(1.0, abs=1e-12)
 
     def test_upper_endpoint_single_term(self):
         nodes = NodeSet.equispaced(-2, 3, 12)
-        rep = denominator_sign_scan(nodes, ExtParams(5, 3),
-                                    np.array([nodes.b]))
+        rep = denominator_sign_scans(nodes, 3, [5],
+                                     np.array([nodes.b]))[0]
         assert rep.min_value == pytest.approx(1.0, abs=1e-12)
 
     def test_e0_reduces_to_classical_denominator(self, rng):
         nodes = perturbed_nodes(-1.0, 1.0, 10, rng)
-        rep = denominator_sign_scan(nodes, ExtParams(3, 0),
-                                    np.linspace(-1, 1, 5001))
+        rep = denominator_sign_scans(nodes, 0, [3],
+                                     np.linspace(-1, 1, 5001))[0]
         assert rep.all_positive
 
     def test_rejects_bad_grid(self):
         nodes = NodeSet.equispaced(0, 1, 4)
         with pytest.raises(ValueError):
-            denominator_sign_scan(nodes, ExtParams(2, 1), np.array([np.nan]))
+            denominator_sign_scans(nodes, 1, [2], np.array([np.nan]))
 
     def test_matches_explicit_small_case(self):
         # n=4, d=2, e=1: brute-force the product terms at a few points
@@ -131,5 +131,5 @@ class TestDenominatorSignScan:
                 mu = np.prod(x - z[:lead]) * np.prod(z[lead + d + 1:] - x)
                 mus.append(mu)
             expected = sum(mus) / sum(abs(m) for m in mus)
-            rep = denominator_sign_scan(nodes, ExtParams(d, e), np.array([x]))
+            rep = denominator_sign_scans(nodes, e, [d], np.array([x]))[0]
             assert rep.min_value == pytest.approx(expected, rel=1e-12)

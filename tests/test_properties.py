@@ -253,7 +253,7 @@ def test_scalar_matches_vector_at_the_edges(seed, scale, compensated):
     snap = nodes.snap_indices(pts)
     j = int(rng.integers(0, n + 1))
     vector = [r(pts), r.basis(j, pts),
-              lebesgue_function(nodes, r.params, pts, r.weights)]
+              lebesgue_function(nodes, r.params, pts)]
     scalar = [[], [], []]
     for x, s in zip(pts, snap):
         got = nodes.snap_index(x)
@@ -262,7 +262,7 @@ def test_scalar_matches_vector_at_the_edges(seed, scale, compensated):
         assert out.at_node == (None if s < 0 else s)
         scalar[0].append(out.value)
         scalar[1].append(r.basis(j, x))
-        scalar[2].append(lebesgue_function(nodes, r.params, x, r.weights))
+        scalar[2].append(lebesgue_function(nodes, r.params, x))
     for s, v in zip(scalar, vector):
         assert np.array_equal(np.array(s).view(np.int64), v.view(np.int64))
     assert np.array_equal(np.array([r(x) for x in pts]).view(np.int64),
