@@ -21,7 +21,7 @@ three forms, each the fastest measured in its regime, and every form takes
 about ``32768 / m`` nodes a step at ``m`` points: a single point runs each
 end node's chain on Python floats, where numpy's fixed cost per call would
 dominate, and sums 1-D rows of up to 32,768 terms; a batch of
-``2 <= m < 768`` points takes node blocks and runs an end's ``d``
+``2 <= m < 2048`` points takes node blocks and runs an end's ``d``
 recurrences side by side (a chain per node was 5-7x slower at 32 points);
 a larger or a compensated batch sweeps the nodes with its running sums in
 place, interior nodes in blocks (one a step from 8,193 points on) and each
@@ -31,6 +31,12 @@ from 0.0 (a 1-D row with the sequential ``np.add.accumulate``, which numpy
 would sum pairwise), so the scalar and vectorized paths produce
 bit-identical results. Optional two-term (Kahan) compensation is available
 behind a flag.
+
+Around the kernel, a small request pays a few numpy calls, not a few per
+node: :func:`pointwise` snaps a chunk against the snap radii that
+:class:`~baryblend.nodes.NodeSet` stores at build, and hands a chunk in
+which no point snaps to the kernel whole, with no masks; a single point
+gets its two sums as numpy scalars and returns a float.
 """
 
 from __future__ import annotations
@@ -48,9 +54,11 @@ _CHUNK = 32768
 # (a single point up to _BLOCK), in node blocks under _SWEEP_MIN points; from
 # there on the sweep, with its running sums updated in place, is faster, and
 # takes that many interior nodes a step, or one where that is 3 or fewer
-# (measured on a 2-vCPU Xeon, AVX-512, numpy 2.4).
+# (measured on a 2-vCPU Xeon, AVX-512, numpy 2.4, under term_sums' ufunc
+# buffer of _BUFSIZE elements).
 _BLOCK = 2 ** 15
-_SWEEP_MIN = 768
+_SWEEP_MIN = 2048
+_BUFSIZE = 768
 
 
 class EvalOutcome(NamedTuple):
@@ -273,8 +281,9 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
     ``num`` is ``sum_k |t_k|`` instead; with ``col=j`` it is ``t_j``.
     ``compensated`` adds every sum with two-term (Kahan) compensation.
 
-    Every path takes up to ``h = _BLOCK // m`` nodes a step. A batch of
-    ``m < _SWEEP_MIN`` points takes node blocks: a few ufuncs form the
+    The sums are arrays of ``m`` values, or numpy scalars for a single
+    point. Every path takes up to ``h = _BLOCK // m`` nodes a step. A batch
+    of ``m < _SWEEP_MIN`` points takes node blocks: a few ufuncs form the
     ``(h, m)`` block of terms under a row holding the running sums, and
     :func:`_reduce` adds its rows in node order. A single point
     (compensated too) takes 1-D rows of terms, its end coefficients from
@@ -284,22 +293,32 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
     and each end node a step of its own, its row from :func:`_end_rows`.
     Each sum sees the same adds in the same order.
     """
+    m = x.size
+    path = _sweep if m != 1 and (compensated or m >= _SWEEP_MIN) else _blocks
+    # numpy (2.4) passes a 2-D broadcast whose rows fill a quarter of its
+    # ufunc buffer (8,192 elements) or less through that buffer, at 2-4x
+    # the time per element; a buffer of _BUFSIZE (numpy wants a multiple of
+    # 16) keeps the rows of a batch of more than _BUFSIZE // 4 points out
+    # of it, on both batch paths. Node blocks of shorter rows go through
+    # either buffer at one speed, and skip the two calls that set it (about
+    # 2.5 us); the sweep keeps it (3% faster at 128 compensated points).
+    if path is _blocks and m <= _BUFSIZE // 4:
+        return path(weights, x, ys, col, compensated)
+    old = np.setbufsize(_BUFSIZE)
+    try:
+        return path(weights, x, ys, col, compensated)
+    finally:
+        np.setbufsize(old)
+
+
+def _blocks(weights, x, ys, col, compensated):
+    # term_sums in node blocks: row 0 of each block carries the running
+    # sums over the earlier nodes; a single point (the only compensated
+    # input here) takes 1-D rows and returns its sums as numpy scalars
     xs, w = weights.nodes.xs, weights.fh
     m, size = x.size, xs.size
     nl = weights.params.d if weights.e else 0
     lo = size - nl                      # end nodes: k < nl and k >= lo
-    if m != 1 and (compensated or m >= _SWEEP_MIN):
-        # numpy (2.4) passes a 2-D broadcast whose rows fill a quarter of
-        # its ufunc buffer (8,192 elements) or less through that buffer, at
-        # 2-4x the time per element; a buffer of _SWEEP_MIN (numpy wants a
-        # multiple of 16) keeps the rows of an uncompensated sweep out of it
-        old = np.setbufsize(_SWEEP_MIN)
-        try:
-            return _sweep(weights, x, ys, col, compensated)
-        finally:
-            np.setbufsize(old)
-    # row 0 of each block carries the running sums over the earlier nodes;
-    # a single point (the only compensated input here) takes 1-D rows
     cn = cd = 0.0 if compensated else None
     h = min(_BLOCK // max(m, 1), size)
     if m == 1:
@@ -331,7 +350,7 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
         elif k0 <= col < k1:
             V[0] = t[col - k0]
         T[0], cd = _reduce(T[:r + 1], cd)
-    return (V[:1], T[:1]) if m == 1 else (V[0], T[0])
+    return V[0], T[0]
 
 
 def _point(nodes: NodeSet, x, at_nodes, off_nodes):
@@ -343,7 +362,8 @@ def _point(nodes: NodeSet, x, at_nodes, off_nodes):
     j = nodes.snap_index(x)
     if j is not None:
         return float(at_nodes[j]), j
-    return float(off_nodes(np.array([x]))[0]), None
+    # off_nodes gives a numpy scalar, or a one-point array (the spline)
+    return off_nodes(np.array([x])).item(), None
 
 
 def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
@@ -357,16 +377,20 @@ def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
     if xv.ndim == 0:
         return _point(nodes, xv, at_nodes, off_nodes)[0]
     flat = xv.ravel()
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         raise ValueError("non-finite input")
     out = np.empty(flat.size)
     for s in range(0, flat.size, _CHUNK):
         block = flat[s:s + _CHUNK]
+        res = out[s:s + block.size]
         snap = nodes.snap_indices(block)
+        if snap.max() < 0:              # no point snaps
+            res[...] = off_nodes(block)
+            continue
         off = snap < 0
-        res = np.take(at_nodes, snap, out=out[s:s + block.size])
+        np.take(at_nodes, snap, out=res)
         if off.any():
-            res[off] = off_nodes(block if off.all() else block[off])
+            res[off] = off_nodes(block[off])
     return out.reshape(xv.shape)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
@@ -50,6 +52,10 @@ class NodeSet:
         The spacing ``h`` of nodes built by :meth:`equispaced`, else
         ``None``. Only that constructor sets it, so it never describes
         nodes that are not equispaced.
+    snap_radii : ndarray
+        The snap radius ``4*eps*max(|x_j|, h)`` of each node, read-only,
+        shape ``(n + 1,)``, with ``h = (b - a)/n``: a point within it of
+        its nearest node evaluates to that node's sample.
 
     Instances are immutable.
     """
@@ -57,16 +63,26 @@ class NodeSet:
     __setattr__ = __delattr__ = read_only
 
     def __init__(self, xs):
-        xs = np.array(xs, dtype=float)
+        xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1 or xs.size < 2:
             raise ValueError("need at least two nodes in a one-dimensional array")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("nodes must be finite")
-        if not np.all(np.diff(xs) > 0.0):
+        # the nodes between -inf and +inf: they are finite and strictly
+        # increasing exactly when each entry exceeds the one before it
+        pad = np.concatenate(([-np.inf], xs, [np.inf]))
+        if not (pad[1:] > pad[:-1]).all():
+            if not np.isfinite(xs).all():
+                raise ValueError("nodes must be finite")
             raise ValueError("nodes must be strictly increasing")
-        xs.flags.writeable = False
-        freeze(self, xs=xs, a=float(xs[0]), b=float(xs[-1]),
-               n=int(xs.size - 1), spacing=None)
+        pad.flags.writeable = False     # before xs is taken as a view of it
+        xs, n = pad[1:-1], xs.size - 1
+        a, b = xs.item(0), xs.item(n)
+        # equispaced() records h = (b - a)/n with these a and b, so the
+        # radii of its nodes are those of the same values given directly
+        radii = np.maximum(np.abs(xs), (b - a) / n)
+        radii *= 4.0 * _EPS
+        radii.flags.writeable = False
+        freeze(self, xs=xs, a=a, b=b, n=n, spacing=None, snap_radii=radii,
+               _pad=pad)
 
     @classmethod
     def equispaced(cls, a, b, n):
@@ -81,7 +97,7 @@ class NodeSet:
         n = whole(n)
         if n is None or n < 1:
             raise ValueError("invalid interval: n must be an integer >= 1")
-        if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
+        if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
             raise ValueError("invalid interval: need finite a < b")
         h = (b - a) / n
         xs = a + h * np.arange(n + 1)
@@ -96,45 +112,40 @@ class NodeSet:
         return self.spacing is not None
 
     def reference_spacing(self):
-        """Spacing scale: the recorded ``h`` or the mean spacing."""
-        if self.spacing is not None:
-            return self.spacing
+        """Spacing scale: the mean spacing ``(b - a)/n``, bit-equal to the
+        ``h`` that :meth:`equispaced` records."""
         return (self.b - self.a) / self.n
 
     def snap_tolerance(self, j):
         """Snap radius around node ``j``: ``4*eps*max(|x_j|, h)``."""
-        h = self.reference_spacing()
-        return 4.0 * _EPS * max(abs(float(self.xs[j])), h)
+        return self.snap_radii.item(j)
 
     def snap_index(self, x):
         """Index of the node ``x`` coincides with, or ``None``.
 
-        ``x`` counts as coincident when it lies within the snap tolerance
-        of the nearest node.
+        ``x`` counts as coincident when it lies within the snap radius of
+        the nearest node.
         """
         xs = self.xs
         i = int(xs.searchsorted(x))
         lo, hi = max(i - 1, 0), min(i, self.n)
-        dl, dh = abs(x - xs[lo]), abs(x - xs[hi])
+        dl, dh = abs(x - xs.item(lo)), abs(x - xs.item(hi))
         j, dist = (lo, dl) if dl <= dh else (hi, dh)
-        return j if dist <= self.snap_tolerance(j) else None
+        return j if dist <= self.snap_radii.item(j) else None
 
     def snap_indices(self, x):
         """Vectorized :meth:`snap_index`: array of node indices, -1 for none."""
         x = np.asarray(x, dtype=float)
-        xv, xs = x.reshape(-1), self.xs
-        hi = np.searchsorted(xs, xv)
-        lo = np.maximum(hi - 1, 0)
-        np.minimum(hi, self.n, out=hi)
-        dl, dh = xs[lo], xs[hi]
-        np.abs(np.subtract(xv, dl, out=dl), out=dl)
-        np.abs(np.subtract(xv, dh, out=dh), out=dh)
-        np.copyto(hi, lo, where=dl <= dh)   # hi: the nearer node
-        del lo
-        dist, tol = np.minimum(dl, dh, out=dl), np.take(xs, hi, out=dh)
-        np.maximum(np.abs(tol, out=tol), self.reference_spacing(), out=tol)
-        tol *= 4.0 * _EPS
-        return np.where(dist <= tol, hi, -1).reshape(x.shape)
+        # node hi - 1 < x <= node hi, with the nodes between -inf and +inf,
+        # so that both distances are formed without a sign or a clip
+        pad = self._pad
+        hi = self.xs.searchsorted(x)
+        dl = np.subtract(x, pad.take(hi))
+        dh = np.subtract(pad.take(hi + 1), x)
+        near, dist = hi - (dl <= dh), np.minimum(dl, dh)
+        # near is n + 1 only for x = +inf or NaN, whose distance is NaN
+        return np.where(dist <= self.snap_radii.take(near, mode="clip"),
+                        near, -1)
 
     def __len__(self):
         return self.n + 1
@@ -149,7 +160,7 @@ def validate_samples(ys, node_count):
     ys = np.array(ys, dtype=float)
     if ys.ndim != 1 or ys.size != node_count:
         raise ValueError(f"samples must be a flat array of length {node_count}")
-    if not np.all(np.isfinite(ys)):
+    if not np.isfinite(ys).all():
         raise ValueError("samples must be finite")
     ys.flags.writeable = False
     return ys

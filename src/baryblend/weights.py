@@ -54,9 +54,10 @@ class ExtParams:
         return self
 
 
-def _window_products(xs, i0, r, d, c):
+def _window_products(pad, i0, r, d, c):
     """``p[s, i] = prod_{l != s} (x_{i0+i+s} - x_{i0+i+l}) / c`` for the
-    ``r`` windows from ``i0``, multiplied from the left in ascending ``l``.
+    ``r`` windows from ``i0``, multiplied from the left in ascending ``l``,
+    from ``pad``, the nodes between ``d`` copies of each end node.
     Each factor is read from a table ``g(t, k) = (x_{k+t} - x_k) / c``
     (factor ``l`` of window ``i`` at node ``s`` is ``g(s - l, i0 + i + l)``,
     the same operands), which forms each difference once, not once per
@@ -65,12 +66,17 @@ def _window_products(xs, i0, r, d, c):
     """
     p = np.ones((d + 1, r))
     step = max(1, _BLOCK // (d + 1))
+    size = pad.itemsize
     for l0 in range(0, d + 1, step):
         l1 = min(l0 + step, d + 1)
-        # g[u, v] = g(u + 1 - l1, i0 + l0 + v); clipped entries go unread
-        k = np.arange(i0 + l0, i0 + l1 + r - 1)
-        g = xs.take(k + np.arange(1 - l1, d + 1 - l0)[:, None], mode="clip")
-        g -= xs[k]
+        # g[u, v] = g(u + 1 - l1, i0 + l0 + v), from the rows x[u, v] =
+        # x_{i0 + l0 + v + u + 1 - l1}, each its predecessor one node on: a
+        # strided view of pad, whose row l1 - 1 is x_k (entries past an end
+        # node repeat it, and go unread)
+        x = np.ndarray((d + l1 - l0, l1 - l0 + r - 1), buffer=pad,
+                       offset=size * (i0 + l0 + 1 - l1 + d),
+                       strides=(size, size))
+        g = np.subtract(x, x[l1 - 1])
         g /= c
         g[l1 - 1] = 1.0
         for l in range(l0, l1):
@@ -91,7 +97,8 @@ def fh_weights(nodes: NodeSet, d):
     prefix sums of ``comb(d, k)`` for the ``2d`` end weights (the interior
     ones are all ``2**d``). For general nodes, each chunk of about
     ``_BLOCK // (d + 1)`` windows forms its O(chunk * d) node differences
-    once, in one table, and then multiplies the ``d + 1`` factors of all
+    once, in one table (one subtraction from a strided view of the nodes,
+    no index array), and then multiplies the ``d + 1`` factors of all
     its windows in ``d + 1`` numpy calls (:func:`_window_products`), so
     that no temporary grows with ``n``; each weight receives the products
     of its windows in ascending order.
@@ -114,11 +121,12 @@ def fh_weights(nodes: NodeSet, d):
         return w
     c = nodes.reference_spacing()
     w = np.zeros(n + 1)
+    pad = nodes.xs.take(np.arange(-d, n + 1 + d), mode="clip")
     q = max(1, _BLOCK // (d + 1))
     lost = []                               # weights that dropped a term
     for i0 in range(0, n - d + 1, q):
         r = min(q, n - d + 1 - i0)
-        p = _window_products(nodes.xs, i0, r, d, c)
+        p = _window_products(pad, i0, r, d, c)
         np.divide(1.0, p, out=p)
         if not p.all():                     # 1/inf: a product overflowed
             s, i = np.nonzero(p == 0.0)
@@ -220,28 +228,33 @@ class PrecomputedWeights:
                 lower, upper = end_weight_tables(nodes, params)
             except OverflowError:
                 raise ValueError(_EXTREME) from None
-            g = 1.0
-            if not nodes.is_equispaced:
-                g = float(np.exp(np.mean(np.log(np.abs(fh)))))
-            fh = fh / g
-            fh.flags.writeable = False      # before ends takes views of it
-            lower = [row / g for row in lower]
-            upper = [row / g for row in upper]
-        # no weight is zero in exact arithmetic: a zero one underflowed (the
-        # leads in ends below are lower and upper up to exact sign and order)
-        stored = np.concatenate([fh, *lower, *upper])
-        if not np.all(np.isfinite(stored) & (stored != 0.0)):
-            raise ValueError(_EXTREME)
+            # every stored weight in one array, fh and then the two leads,
+            # of which the stored families are read-only views
+            stored = np.concatenate([fh, *lower, *upper]) if e else fh
+            if not nodes.is_equispaced:     # else g = 1
+                # np.mean of the logs is np.add.reduce over the count
+                g = np.exp(np.add.reduce(np.log(np.abs(fh))) / fh.size)
+                stored /= g
+            # no weight is zero in exact arithmetic: a zero one underflowed
+            # (the leads in ends below are lower and upper up to exact sign
+            # and order); w / w is exactly 1 for every finite nonzero w, and
+            # NaN for 0, an infinity or a NaN
+            if not (stored / stored == 1.0).all():
+                raise ValueError(_EXTREME)
+        stored.flags.writeable = False
+        n1 = nodes.n + 1
+        fh = stored[:n1]
         # each end as (endpoint, its d nodes from the endpoint inward, their
         # leads times the end's sign, their fh): the upper end's node n - i
         # is then the lower end's node i, so one recurrence serves both
         ends = ()
         if e:
-            sign = -1.0 if (nodes.n + 1 - d) % 2 else 1.0
+            lower, upper = [stored[n1:n1 + d]], [stored[n1 + d:]]
+            sign = -1.0 if (n1 - d) % 2 else 1.0
             ends = ((nodes.a, xs[:d], -lower[0], fh[:d]),
                     (nodes.b, xs[::-1][:d], sign * upper[0][::-1], fh[::-1][:d]))
-        for arr in [*lower, *upper, *(s[2] for s in ends)]:
-            arr.flags.writeable = False
+            for end in ends:
+                end[2].flags.writeable = False
         freeze(self, nodes=nodes, params=params, e=e, fh=fh, lower=lower,
                upper=upper, lower_lead=lower[0] if e else None,
                upper_lead=upper[0] if e else None, ends=ends,

@@ -1,5 +1,6 @@
 """Property-based invariants of the interpolant family."""
 
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from baryblend import Interpolant, NodeSet, lebesgue_function
+from baryblend import (ChebyshevBaseline, CubicSplineBaseline, Interpolant,
+                       NodeSet, lebesgue_function)
+from baryblend.analysis import get_function
 from baryblend.interpolant import pointwise, term_sums
 from baryblend.oracle import _blend_functions, fh_value
 
@@ -234,6 +237,57 @@ def edge_points(nodes, rng):
     return np.array(pts, dtype=float)
 
 
+def reference_snap(nodes, x):
+    """Snap rule on Python floats: the nearer of the two nodes around
+    ``x`` (the lower on a tie), if ``x`` is within its radius
+    ``4*eps*max(|x_j|, h)``, ``h = (b - a)/n``; else -1."""
+    xs, n = nodes.xs.tolist(), nodes.n
+    h = (nodes.b - nodes.a) / n
+    i = bisect_left(xs, x)
+    lo, hi = max(i - 1, 0), min(i, n)
+    j = lo if abs(x - xs[lo]) <= abs(x - xs[hi]) else hi
+    return j if abs(x - xs[j]) <= 8.0 * U * max(abs(xs[j]), h) else -1
+
+
+def check_snap_radii(nodes):
+    """The cached radius of every node is ``4*eps*max(|x_j|, h)`` and
+    read-only; at each node's ``x_j +- radius`` and one ulp either side of
+    it, ``snap_index``, ``snap_indices`` and :func:`reference_snap` agree,
+    and the point one ulp inward snaps to the node."""
+    h = (nodes.b - nodes.a) / nodes.n
+    radii = [8.0 * U * max(abs(v), h) for v in nodes.xs.tolist()]
+    assert nodes.snap_radii.tolist() == radii
+    assert [nodes.snap_tolerance(j) for j in range(nodes.n + 1)] == radii
+    assert not nodes.snap_radii.flags.writeable
+    pts = []
+    for j, (xj, rad) in enumerate(zip(nodes.xs.tolist(), radii)):
+        for p in (xj - rad, xj + rad):
+            pts += [p, float(np.nextafter(p, -np.inf)),
+                    float(np.nextafter(p, np.inf))]
+            assert nodes.snap_index(float(np.nextafter(p, xj))) == j
+    vector = nodes.snap_indices(np.array(pts)).tolist()
+    scalar = [nodes.snap_index(x) for x in pts]
+    assert [-1 if j is None else j for j in scalar] == vector
+    assert vector == [reference_snap(nodes, x) for x in pts]
+
+
+@pytest.mark.parametrize("k", [-40, -20, -1, 0, 1, 20, 40])
+@pytest.mark.parametrize("kind", ["equispaced", "general"])
+def test_snap_radii_are_cached_exactly(k, kind):
+    # both constructors share one radius computation: equispaced's recorded
+    # h is the (b - a)/n of its end nodes, bit for bit
+    rng = np.random.default_rng(k + 100)
+    a, b, n = -0.7 * 2.0 ** k, 1.3 * 2.0 ** k, 23
+    if kind == "equispaced":
+        nodes = NodeSet.equispaced(a, b, n)
+        assert nodes.spacing == (b - a) / n == nodes.reference_spacing()
+    else:
+        xs = np.linspace(a, b, n + 1)
+        xs[1:-1] += rng.uniform(-0.3, 0.3, n - 1) * (b - a) / n
+        nodes = NodeSet(xs)
+    check_snap_radii(nodes)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([1e-200, 1.0, 1e200]),
        st.booleans())
@@ -249,6 +303,7 @@ def test_scalar_matches_vector_at_the_edges(seed, scale, compensated):
     nodes = NodeSet(scale * (cheb + rng.uniform(-2.0, 2.0)))
     r = Interpolant(nodes, rng.uniform(-2.0, 2.0, n + 1), d, e,
                     compensated=compensated)
+    check_snap_radii(nodes)
     pts = edge_points(nodes, rng)
     snap = nodes.snap_indices(pts)
     j = int(rng.integers(0, n + 1))
@@ -267,6 +322,22 @@ def test_scalar_matches_vector_at_the_edges(seed, scale, compensated):
         assert np.array_equal(np.array(s).view(np.int64), v.view(np.int64))
     assert np.array_equal(np.array([r(x) for x in pts]).view(np.int64),
                           vector[0].view(np.int64))
+    # one point keeps its return types, on and off the nodes: a scalar
+    # gives a float, a one-point array an array (the baselines on nodes of
+    # unit scale, where the spline's slopes are finite)
+    fits = [(r, 1.0), (lambda x: r.basis(j, x), 1.0),
+            (lambda x: lebesgue_function(nodes, r.params, x), 1.0),
+            (ChebyshevBaseline(get_function("runge"), n), 1.0)]
+    if n >= 3:
+        unit = NodeSet(nodes.xs / scale)
+        fits.append((CubicSplineBaseline(unit, r.ys), scale))
+    for x in (float(nodes.xs[j]), float(pts[-1])):
+        assert type(r.eval(x).value) is float
+        for fit, s in fits:
+            one, arr = fit(x / s), fit(np.array([x / s]))
+            assert type(one) is float
+            assert type(arr) is np.ndarray and arr.shape == (1,)
+            assert arr.view(np.int64)[0] == np.array(one).view(np.int64)
 
 
 def test_concurrent_evaluation_matches_sequential():
