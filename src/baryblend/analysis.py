@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .interpolant import Interpolant, pointwise, term_sums
-from .interpolant import term_rows  # noqa: F401  (public as analysis.term_rows)
 from .nodes import NodeSet, validate_samples, whole
+from .oracle import term_rows  # noqa: F401  (the span tracer patches it here)
 from .weights import ExtParams, PrecomputedWeights
 
 SENTINEL = "NA"
@@ -284,10 +284,13 @@ class CubicSplineBaseline:
 class NoiseSpec:
     """Seeded Gaussian perturbation of the samples.
 
-    The stream is fully pinned down for cross-platform reproducibility:
     SplitMix64 supplies 64-bit words from the seed, two words become one
     normal deviate through basic Box-Muller, and nodes consume deviates in
-    index order. The seed must be integral (``3.0`` counts as ``3``).
+    index order. Box-Muller calls ``np.log`` and ``np.cos``, whose last bit
+    numpy does not promise across CPUs (on an AVX-512 host its SIMD
+    ``np.log`` and ``math.log`` differ on about 0.3% of uniforms), so the
+    deviates are reproducible on one CPU family, not across them. The seed
+    must be integral (``3.0`` counts as ``3``).
     """
     sigma: float
     seed: int = 0

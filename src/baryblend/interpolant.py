@@ -47,6 +47,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nodes import NodeSet, freeze, read_only, validate_samples, whole
+from .oracle import term_rows  # noqa: F401  (the span tracer patches it here)
 from .weights import ExtParams, PrecomputedWeights
 
 _CHUNK = 32768
@@ -164,9 +165,10 @@ def end_coefs(weights: PrecomputedWeights, x):
     ``weights`` at the off-node points ``x`` (1-D).
 
     Returns ``(lower, upper)``, each ``(d, x.size)``: ``lower[j]`` for node
-    ``j``, ``upper[i]`` for node ``n-d+1+i``. A node in both blocks has the
-    same value in each, its lower correction added first. ``None`` when
-    ``e = 0``, where every coefficient is the constant ``fh[j]``.
+    ``j``, ``upper[i]`` for node ``n-d+1+i``. A node in both ends is right
+    only in the upper rows (its lower correction added first), which a
+    caller writes last. ``None`` when ``e = 0``, where every coefficient is
+    the constant ``fh[j]``.
     """
     if weights.e == 0:
         return None
@@ -177,7 +179,6 @@ def end_coefs(weights: PrecomputedWeights, x):
     lower += fh[:d, None]
     upper[:both] += lower[d - both:]
     upper[both:] += fh[lo + both:, None]
-    lower[d - both:] = upper[:both]
     return lower, upper
 
 
@@ -485,28 +486,3 @@ class Interpolant:
 
         return pointwise(self.nodes, x, unit, off_nodes)
 
-
-def term_rows(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x):
-    """Term rows ``T[m, k] = c_k(x_m)/(x_m - x_k)`` for off-node points.
-
-    Returns ``(T, offmask, snap)``; ``T`` covers only the rows where
-    ``offmask`` is true (``None`` if every point snapped to a node). The
-    interpolant is ``(T @ ys) / T.sum(axis=1)`` and the basis functions are
-    the rows of ``T`` over their sum. ``T`` is dense, ``points x (n+1)``;
-    the evaluators never form it. ``weights`` built for other nodes or
-    parameters are refused.
-    """
-    weights.check(nodes, params)
-    x = np.asarray(x, dtype=float)
-    snap = nodes.snap_indices(x)
-    off = snap < 0
-    xo = x[off]
-    if not xo.size:
-        return None, off, snap
-    C = np.broadcast_to(weights.fh, (xo.size, nodes.n + 1)).copy()
-    ends = end_coefs(weights, xo)
-    if ends is not None:
-        C[:, :params.d] = ends[0].T
-        C[:, nodes.n + 1 - params.d:] = ends[1].T
-    T = C / (xo[:, None] - nodes.xs[None, :])
-    return T, off, snap

@@ -116,10 +116,6 @@ class NodeSet:
         ``h`` that :meth:`equispaced` records."""
         return (self.b - self.a) / self.n
 
-    def snap_tolerance(self, j):
-        """Snap radius around node ``j``: ``4*eps*max(|x_j|, h)``."""
-        return self.snap_radii.item(j)
-
     def snap_index(self, x):
         """Index of the node ``x`` coincides with, or ``None``.
 

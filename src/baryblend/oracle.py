@@ -4,10 +4,10 @@
 local Lagrange polynomial interpolants with explicit product blending
 weights: O(n * d**2) per point, but definitionally direct.
 
-``dense_values`` evaluates through the dense ``points x (n+1)`` matrix of
-node coefficients, walked one node column at a time: the operations and
-their order are those of the sparse evaluator, so the two must agree bit
-for bit. It can also count the arithmetic it spends per point.
+``term_rows`` forms the dense ``points x (n+1)`` matrix of terms, each end
+coefficient by loops of its own, and ``dense_values`` adds its columns one
+node at a time: the operations and their order are those of the sparse
+evaluator, so the two must agree bit for bit. It can count its arithmetic.
 
 ``fh_value`` is the classical ``e = 0`` interpolant as one plain loop over
 the node weights, a path independent of the end-correction machinery.
@@ -89,22 +89,19 @@ def blending_weights(nodes: NodeSet, params: ExtParams, x):
     return vals / vals.sum()
 
 
-def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False,
-                 tally=None):
-    """Interpolant values at a 1-D array ``x`` through the dense matrix
-    ``C[m, j] = c_j(x_m)``; points that snap to a node take its sample.
-
-    ``tally``, a list, gets appended the number of arithmetic operations
-    spent on each off-node point, counted as the loops below run.
-    """
-    d, e = params.d, params.e
-    n, xs = nodes.n, nodes.xs
-    wts = PrecomputedWeights(nodes, params)
+def _terms(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x):
+    # term_rows' (T, offmask, snap), T empty where every point snaps, and
+    # the arithmetic per off-node point, counted as the loops below run
+    if params != weights.params or not (
+            nodes is weights.nodes or np.array_equal(nodes.xs, weights.nodes.xs)):
+        raise ValueError("weights were built for other nodes or parameters")
+    d, e, n, xs = params.d, params.e, nodes.n, nodes.xs
+    x = np.asarray(x, dtype=float)
     snap = nodes.snap_indices(x)
     off = snap < 0
-    out = np.asarray(ys, dtype=float)[snap]
     xo = x[off]
-    C = np.broadcast_to(wts.fh, (xo.size, n + 1)).copy(order="F")
+    # C[j, m] = c_j(x_m), one contiguous row per node
+    C = np.broadcast_to(weights.fh[:, None], (n + 1, xo.size)).copy()
     ops = 0
     if e > 0:
         w0 = 1.0 / (xo - nodes.a)
@@ -114,7 +111,7 @@ def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False,
             for k in range(max(j, d - e) + 1, d):
                 acc = 1.0 - (xs[j] - xs[k]) * w0 * acc
                 ops += 3
-            C[:, j] += -wts.lower_lead[j] * w0 * acc
+            C[j] += -weights.lower_lead[j] * w0 * acc
             ops += 3
         vn = 1.0 / (xo - nodes.b)
         ops += 2
@@ -125,11 +122,42 @@ def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False,
             for k in range(min(j, n - d + e) - 1, lo - 1, -1):
                 acc = 1.0 - (xs[j] - xs[k]) * vn * acc
                 ops += 3
-            C[:, j] += sign * wts.upper_lead[j - lo] * vn * acc
+            C[j] += sign * weights.upper_lead[j - lo] * vn * acc
             ops += 3
-    num, den, cn, cd = (np.zeros(xo.size) for _ in range(4))
-    for k in range(n + 1):
-        t = C[:, k] / (xo - xs[k])
+    for k in range(n + 1):                  # C becomes T, transposed
+        C[k] /= xo - xs[k]
+        ops += 2
+    return C.T, off, snap, ops
+
+
+def term_rows(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x):
+    """Term rows ``T[m, k] = c_k(x_m)/(x_m - x_k)`` for off-node points.
+
+    Returns ``(T, offmask, snap)``; ``T`` covers only the rows where
+    ``offmask`` is true (``None`` if every point snapped to a node). The
+    interpolant is ``(T @ ys) / T.sum(axis=1)`` and the basis functions are
+    the rows of ``T`` over their sum. ``T`` is dense, ``points x (n+1)``;
+    the evaluators never form it, and its end coefficients come from
+    loops of its own. ``weights`` for other nodes or parameters are refused.
+    """
+    T, off, snap, _ = _terms(nodes, params, weights, x)
+    return T if T.size else None, off, snap
+
+
+def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False,
+                 tally=None):
+    """Interpolant values at a 1-D array ``x``, :func:`term_rows`' columns
+    added node by node; points that snap to a node take its sample.
+
+    ``tally``, a list, gets appended the number of arithmetic operations
+    spent on each off-node point, counted as the loops run.
+    """
+    T, off, snap, ops = _terms(nodes, params,
+                               PrecomputedWeights(nodes, params), x)
+    out = np.asarray(ys, dtype=float)[snap]
+    num, den, cn, cd = (np.zeros(T.shape[0]) for _ in range(4))
+    for k in range(nodes.n + 1):
+        t = T[:, k]
         v = t * ys[k]
         if compensated:
             y_ = v - cn
@@ -140,11 +168,11 @@ def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False,
             s = den + y_
             cd = (s - den) - y_
             den = s
-            ops += 11
+            ops += 9
         else:
             num += v
             den += t
-            ops += 5
+            ops += 3
     out[off] = num / den
     if tally is not None:
         tally.append(ops + 1)          # and the quotient num / den

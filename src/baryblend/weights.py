@@ -261,9 +261,3 @@ class PrecomputedWeights:
                end_lists=tuple((end, *(tuple(a.tolist()) for a in ops))
                                for end, *ops in ends))
 
-    def check(self, nodes: NodeSet, params: ExtParams):
-        """Refuse, with ``ValueError``, other nodes or parameters than these
-        weights were built for."""
-        if params != self.params or not (
-                nodes is self.nodes or np.array_equal(nodes.xs, self.nodes.xs)):
-            raise ValueError("weights were built for other nodes or parameters")

@@ -69,8 +69,8 @@ def golden_case(n, d, e, kind):
     nodes = (NodeSet.equispaced(-1.0, 1.0, n) if kind == "equispaced"
              else log_perturbed_nodes(-1.0, 1.0, n, rng))
     r = Interpolant(nodes, rng.uniform(-1.0, 1.0, n + 1), d, e)
-    edges = [np.nextafter(nodes.a + nodes.snap_tolerance(0), 2.0),
-             np.nextafter(nodes.b - nodes.snap_tolerance(n), -2.0)]
+    edges = [np.nextafter(nodes.a + nodes.snap_radii[0], 2.0),
+             np.nextafter(nodes.b - nodes.snap_radii[n], -2.0)]
     batches = [np.array([v]) for v in edges]
     for m in SIZES:
         x = rng.uniform(-1.05, 1.05, m)

@@ -514,8 +514,8 @@ class TestKernel:
         # products overflow: both forms must reach the same inf and NaN
         nodes = NodeSet.equispaced(-1.0, 1.0, 40)
         r = Interpolant.from_function(nodes, np.cos, d, e)
-        edges = [np.nextafter(nodes.a + nodes.snap_tolerance(0), 2.0),
-                 np.nextafter(nodes.b - nodes.snap_tolerance(40), -2.0)]
+        edges = [np.nextafter(nodes.a + nodes.snap_radii[0], 2.0),
+                 np.nextafter(nodes.b - nodes.snap_radii[40], -2.0)]
         for v in edges:
             with np.errstate(all="ignore"):
                 one = end_coefs(r.weights, np.array([v]))
@@ -539,14 +539,44 @@ class TestKernel:
         nodes, k = r.nodes, min(d, n + 1 - d)
         x = rng.uniform(-1.1, 1.1, 300)
         x = np.append(x[nodes.snap_indices(x) < 0][:100],
-                      [np.nextafter(nodes.a + nodes.snap_tolerance(0), 2.0),
-                       np.nextafter(nodes.b - nodes.snap_tolerance(n), -2.0)])
+                      [np.nextafter(nodes.a + nodes.snap_radii[0], 2.0),
+                       np.nextafter(nodes.b - nodes.snap_radii[n], -2.0)])
         for v in x:
             with np.errstate(all="ignore"):
                 lower, upper = _point_coefs(r.weights, float(v))
                 two = end_coefs(r.weights, np.array([v, 0.1]))
             assert np.array_equal(bits(lower[:k]), bits(two[0][:k, 0]))
             assert np.array_equal(bits(upper), bits(two[1][:, 0]))
+
+    @pytest.mark.parametrize("n,d,e", BLOCK_CASES)
+    def test_terms_match_dense_rows(self, n, d, e, rng):
+        # the dense reference pins the kernel term by term, not only through
+        # reduced values: a basis call's t_j is column j of term_rows, for a
+        # single point, in node blocks (32 points) and in the sweep, also
+        # one ulp outside the snap radius of each end node, where an end
+        # term may overflow; NaN must meet NaN as a mask, not as equal bits
+        r = kernel_case(n, d, e, rng)
+        nodes = r.nodes
+        edges = [np.nextafter(nodes.a + nodes.snap_radii[0], 2.0),
+                 np.nextafter(nodes.b - nodes.snap_radii[n], -2.0)]
+        x = rng.uniform(-1.1, 1.1, _SWEEP_MIN + 100)
+        x = np.concatenate([edges, x[nodes.snap_indices(x) < 0]])
+        js = range(n + 1) if n <= 64 else sorted(
+            {*range(d), *range(n + 1 - d, n + 1), n // 3, n // 2, 2 * n // 3})
+        finite = 0
+        for pts in (x[:1], x[1:2], x[2:3], x[:32], x[:_SWEEP_MIN]):
+            with np.errstate(all="ignore"):
+                T, off, _ = term_rows(nodes, r.params, r.weights, pts)
+                assert off.all()
+                for j in js:
+                    got = np.atleast_1d(term_sums(r.weights, pts, col=j)[0])
+                    want = T[:, j]
+                    nan = np.isnan(want)
+                    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+                    assert np.array_equal(np.isnan(got), nan)
+                    assert np.array_equal(bits(got[~nan]), bits(want[~nan]))
+                    finite += np.isfinite(want).sum()
+        assert finite > 0
 
     @pytest.mark.parametrize("n,d,e", [(64, 12, 4), (1000, 14, 4), (4, 4, 4),
                                        (30, 10, 10)])

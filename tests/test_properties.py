@@ -227,7 +227,7 @@ def edge_points(nodes, rng):
     n = nodes.n
     pts = []
     for j in {0, 1, int(rng.integers(0, n + 1)), n - 1, n}:
-        tol = nodes.snap_tolerance(j)
+        tol = nodes.snap_radii[j]
         for p in (nodes.xs[j] - tol, nodes.xs[j] + tol):
             pts += [p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf)]
     span = nodes.b - nodes.a
@@ -257,7 +257,6 @@ def check_snap_radii(nodes):
     h = (nodes.b - nodes.a) / nodes.n
     radii = [8.0 * U * max(abs(v), h) for v in nodes.xs.tolist()]
     assert nodes.snap_radii.tolist() == radii
-    assert [nodes.snap_tolerance(j) for j in range(nodes.n + 1)] == radii
     assert not nodes.snap_radii.flags.writeable
     pts = []
     for j, (xj, rad) in enumerate(zip(nodes.xs.tolist(), radii)):
