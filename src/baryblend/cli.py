@@ -40,8 +40,17 @@ def _add_common(p, need_n=True, sampled=True):
     p.add_argument("--out", help="output file (default: stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse (3.11-3.13) reads only -1 and -1.5 as negative numbers
+        # and takes -1e-05, as the CSV prints it, for an unknown option;
+        # add_subparsers makes the subparsers of this class too
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="baryblend",
         description="Barycentric rational interpolation with blended "
                     "end corrections: evaluation and benchmark sweeps.")

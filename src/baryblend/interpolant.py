@@ -18,10 +18,11 @@ One kernel, :func:`term_sums`, forms the terms from the points and one
 :class:`PrecomputedWeights` and sums them; values, basis functions and the
 Lebesgue function are reductions of its sums. It runs the recurrence in
 three forms, each the fastest measured in its regime, and every form takes
-about ``32768 / m`` nodes a step at ``m`` points: a single point runs each
-end node's chain on Python floats, where numpy's fixed cost per call would
-dominate, and sums 1-D rows of up to 32,768 terms; a batch of
-``2 <= m < 2048`` points takes node blocks and runs an end's ``d``
+about ``32768 / m`` nodes a step at ``m`` points: a single point takes a
+short path of its own, off the node blocks, which runs each end node's
+chain on Python floats, where numpy's fixed cost per call would dominate,
+and forms and sums 1-D rows of up to 32,768 terms in a few numpy calls; a
+batch of ``2 <= m < 2048`` points takes node blocks and runs an end's ``d``
 recurrences side by side (a chain per node was 5-7x slower at 32 points);
 a larger or a compensated batch sweeps the nodes with its running sums in
 place, interior nodes in blocks (one a step from 8,193 points on) and each
@@ -35,8 +36,9 @@ behind a flag.
 Around the kernel, a small request pays a few numpy calls, not a few per
 node: :func:`pointwise` snaps a chunk against the snap radii that
 :class:`~baryblend.nodes.NodeSet` stores at build, and hands a chunk in
-which no point snaps to the kernel whole, with no masks; a single point
-gets its two sums as numpy scalars and returns a float.
+which no point snaps to the kernel whole, with no masks (and returns the
+kernel's values as they are when that chunk is the whole request); a
+single point gets its two sums as numpy scalars and returns a float.
 """
 
 from __future__ import annotations
@@ -102,16 +104,22 @@ def zeta_eta(weights: PrecomputedWeights, x):
     ``x - x_n`` are formed); callers snap node-coincident points first.
     """
     d, e = weights.params.d, weights.e
+    k0 = d - e + 1                          # the first step
     out = []
     for end, xe, lead, _ in _ends(weights, x):
         p = 1.0 / (x - end)
-        xe = xe[:, None]
-        z = np.ones((d, x.size))
-        for k in range(d - e + 1, d):
-            acc = z[:k]
-            acc *= (xe[:k] - xe[k]) * p
-            np.subtract(1.0, acc, out=acc)
-        z *= lead[:, None] * p
+        z = lead[:, None] * p
+        if k0 < d:
+            xe, q = xe[:, None], z
+            z = np.empty_like(q)
+            # the first step is 1 - g, as 1.0 * g == g
+            np.subtract(1.0, (xe[:k0] - xe[k0]) * p, out=z[:k0])
+            z[k0:] = 1.0
+            for k in range(k0 + 1, d):
+                acc = z[:k]
+                acc *= (xe[:k] - xe[k]) * p
+                np.subtract(1.0, acc, out=acc)
+            z *= q
         out.append(z)
     return out[0], out[1][::-1]
 
@@ -212,24 +220,6 @@ def _add(total, v, comp):
     total[...] = s
 
 
-def _reduce(block, comp=None):
-    # (block[0] + block[1] + ..., comp), one rounding per add, in row order:
-    # np.add.reduce adds the rows of a C-contiguous 2-D block one by one,
-    # but sums a 1-D row pairwise, and np.add.accumulate never does; a row
-    # with a float comp is added on floats by _add's Kahan steps
-    if block.ndim == 2:
-        return np.add.reduce(block, axis=0), None
-    if comp is None:
-        return np.add.accumulate(block)[-1], None
-    total, *values = block.tolist()
-    for v in values:
-        y = v - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total, comp
-
-
 def _sweep(weights, x, ys, col, compensated):
     # term_sums from _SWEEP_MIN points on, and on compensated batches. The
     # running (num, den) are one stacked array, of which a basis (col given)
@@ -283,19 +273,25 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
     ``compensated`` adds every sum with two-term (Kahan) compensation.
 
     The sums are arrays of ``m`` values, or numpy scalars for a single
-    point. Every path takes up to ``h = _BLOCK // m`` nodes a step. A batch
-    of ``m < _SWEEP_MIN`` points takes node blocks: a few ufuncs form the
+    point. Every path takes up to ``h = _BLOCK // m`` nodes a step. A
+    single point (compensated too) takes :func:`_point_sums`: one 1-D row
+    of coefficients, its end values from the float chains of
+    :func:`_point_coefs`, divided by ``x - x_k`` in place, and added with
+    the sequential ``np.add.accumulate``. A batch of ``m < _SWEEP_MIN``
+    points takes node blocks (:func:`_blocks`): a few ufuncs form the
     ``(h, m)`` block of terms under a row holding the running sums, and
-    :func:`_reduce` adds its rows in node order. A single point
-    (compensated too) takes 1-D rows of terms, its end coefficients from
-    the float chains of :func:`_point_coefs`. A larger batch, or a
+    ``np.add.reduce`` adds its rows in node order. A larger batch, or a
     compensated one of 2 points or more, is swept (:func:`_sweep`): it
     updates its running sums in place, up to ``h`` interior nodes a step,
     and each end node a step of its own, its row from :func:`_end_rows`.
     Each sum sees the same adds in the same order.
     """
     m = x.size
-    path = _sweep if m != 1 and (compensated or m >= _SWEEP_MIN) else _blocks
+    if m == 1:
+        return _point_sums(weights, x, ys, col, compensated)
+    sweep = compensated or m >= _SWEEP_MIN
+    if not sweep and m <= _BUFSIZE // 4:
+        return _blocks(weights, x, ys, col)
     # numpy (2.4) passes a 2-D broadcast whose rows fill a quarter of its
     # ufunc buffer (8,192 elements) or less through that buffer, at 2-4x
     # the time per element; a buffer of _BUFSIZE (numpy wants a multiple of
@@ -303,38 +299,34 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
     # of it, on both batch paths. Node blocks of shorter rows go through
     # either buffer at one speed, and skip the two calls that set it (about
     # 2.5 us); the sweep keeps it (3% faster at 128 compensated points).
-    if path is _blocks and m <= _BUFSIZE // 4:
-        return path(weights, x, ys, col, compensated)
     old = np.setbufsize(_BUFSIZE)
     try:
-        return path(weights, x, ys, col, compensated)
+        if sweep:
+            return _sweep(weights, x, ys, col, compensated)
+        return _blocks(weights, x, ys, col)
     finally:
         np.setbufsize(old)
 
 
-def _blocks(weights, x, ys, col, compensated):
-    # term_sums in node blocks: row 0 of each block carries the running
-    # sums over the earlier nodes; a single point (the only compensated
-    # input here) takes 1-D rows and returns its sums as numpy scalars
+def _blocks(weights, x, ys, col):
+    # term_sums in node blocks, for a batch under _SWEEP_MIN points: row 0
+    # of each block carries the running sums over the earlier nodes, and
+    # np.add.reduce adds the rows of a C-contiguous 2-D block one by one
     xs, w = weights.nodes.xs, weights.fh
     m, size = x.size, xs.size
     nl = weights.params.d if weights.e else 0
     lo = size - nl                      # end nodes: k < nl and k >= lo
-    cn = cd = 0.0 if compensated else None
     h = min(_BLOCK // max(m, 1), size)
-    if m == 1:
-        x, xc, wc, yc, shape = x.tolist()[0], xs, w, ys, ()
-    else:
-        xc, wc, shape = xs[:, None], w[:, None], (m,)
-        yc = None if ys is None else ys[:, None]
     if nl:
-        lower, upper = (_point_coefs if m == 1 else end_coefs)(weights, x)
-    T, V, diff = np.zeros((3, h + 1, *shape))
+        lower, upper = end_coefs(weights, x)
+    T, V = np.empty((2, h + 1, m))
+    T[0] = V[0] = 0.0
+    diff = np.empty((h, m))
     for k0 in range(0, size, h):
         k1 = min(k0 + h, size)
         r = k1 - k0
-        dk = np.subtract(x, xc[k0:k1], out=diff[:r])
-        t = np.divide(wc[k0:k1], dk, out=T[1:r + 1])
+        dk = np.subtract(x, xs[k0:k1, None], out=diff[:r])
+        t = np.divide(w[k0:k1, None], dk, out=T[1:r + 1])
         if k0 < nl:
             s = min(k1, nl) - k0
             np.divide(lower[k0:k1], dk[:s], out=t[:s])
@@ -343,15 +335,64 @@ def _blocks(weights, x, ys, col, compensated):
             np.divide(upper[k0 + s - lo:k1 - lo], dk[s:], out=t[s:])
         if col is None:
             v = V[1:r + 1]
-            if yc is None:
+            if ys is None:
                 np.absolute(t, out=v)
             else:
-                np.multiply(t, yc[k0:k1], out=v)
-            V[0], cn = _reduce(V[:r + 1], cn)
+                np.multiply(t, ys[k0:k1, None], out=v)
+            V[0] = np.add.reduce(V[:r + 1], axis=0)
         elif k0 <= col < k1:
             V[0] = t[col - k0]
-        T[0], cd = _reduce(T[:r + 1], cd)
+        T[0] = np.add.reduce(T[:r + 1], axis=0)
     return V[0], T[0]
+
+
+def _point_sums(weights, x, ys, col, compensated):
+    # term_sums at one point: the rows (v_k, t_k) of up to _BLOCK nodes a
+    # step, behind a slot 0 that carries the running sums, the end
+    # coefficients from _point_coefs' float chains; each row is added by
+    # the sequential np.add.accumulate, or by Kahan steps on floats. The
+    # sums stay numpy scalars: num / den at den == 0 then gives inf or nan,
+    # as in a batch, not a ZeroDivisionError.
+    xs, w = weights.nodes.xs, weights.fh
+    size, x = xs.size, x.item()
+    nl = weights.params.d if weights.e else 0
+    lo = size - nl                      # end nodes: k < nl and k >= lo
+    if nl:
+        lower, upper = _point_coefs(weights, x)
+    comp = [0.0, 0.0]
+    for k0 in range(0, size, _BLOCK):
+        k1 = min(k0 + _BLOCK, size)
+        rows = np.zeros((2, k1 - k0 + 1))
+        if k0:
+            rows[:, 0] = sums
+        t = rows[1, 1:]
+        t[...] = w[k0:k1]               # c_k, then t_k = c_k / (x - x_k)
+        if k0 < nl:
+            t[:nl - k0] = lower[k0:k1]
+        if k1 > lo:
+            j = max(k0, lo) - k0
+            t[j:] = upper[k0 + j - lo:k1 - lo]
+        np.divide(t, np.subtract(x, xs[k0:k1]), out=t)
+        if col is not None:             # a basis keeps t_j; v stays 0
+            if k0 <= col < k1:
+                tj = t[col - k0]
+        elif ys is None:
+            np.absolute(t, out=rows[0, 1:])
+        else:
+            np.multiply(t, ys[k0:k1], out=rows[0, 1:])
+        if not compensated:
+            sums = np.add.accumulate(rows, axis=1)[:, -1]
+            continue
+        sums = np.empty(2)
+        for i, (total, *values) in enumerate(rows.tolist()):
+            c = comp[i]
+            for v in values:            # _add's steps, on floats
+                y = v - c
+                s = total + y
+                c = (s - total) - y
+                total = s
+            sums[i], comp[i] = total, c
+    return (sums[0] if col is None else tj), sums[1]
 
 
 def _point(nodes: NodeSet, x, at_nodes, off_nodes):
@@ -386,6 +427,8 @@ def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
         res = out[s:s + block.size]
         snap = nodes.snap_indices(block)
         if snap.max() < 0:              # no point snaps
+            if block.size == flat.size:     # one chunk: no copy
+                return off_nodes(block).reshape(xv.shape)
             res[...] = off_nodes(block)
             continue
         off = snap < 0

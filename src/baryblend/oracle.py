@@ -224,7 +224,9 @@ def denominator_sign_scans(nodes: NodeSet, e, ds, grid) -> list[SignScanReport]:
     sums so arbitrary ``n`` cannot overflow. Strictly positive values
     everywhere witness the absence of real poles; a nonpositive value is
     reported, not raised. The prefix and suffix sums depend only on the
-    nodes, ``e`` and the grid, so they are formed once for all of ``ds``.
+    nodes, ``e`` and the grid, so they are formed once for all of ``ds``;
+    each term's sign is counted from where ``x`` falls among the sorted
+    ``z``.
     """
     ds = [ExtParams(d, e).validate(nodes).d for d in ds]
     e, n = int(e), nodes.n
@@ -232,33 +234,32 @@ def denominator_sign_scans(nodes: NodeSet, e, ds, grid) -> list[SignScanReport]:
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a nonempty 1-D array of finite values")
     z = np.concatenate([np.full(e, nodes.a), nodes.xs, np.full(e, nodes.b)])
-    m = z.size                      # n + 2e + 1 values, indices -e .. n+e
-    diff = grid[None, :] - z[:, None]   # (m, g): x - z, one factor per row
+    # log|x - z|, one factor per row, for the n + 2e + 1 values of z
+    # (indices -e .. n+e)
     with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(diff))
+        logs = np.log(np.abs(grid[None, :] - z[:, None]))
 
-    def sums(a):
-        # prefix[t] sums the first t factors, suffix[t] those from t on
-        # (built directly: -inf entries would make total-minus-prefix NaN)
-        zero = np.zeros((1, grid.size), dtype=int)
-        return (np.concatenate([zero, np.cumsum(a, axis=0)]),
-                np.concatenate([np.cumsum(a[::-1], axis=0)[::-1], zero]))
-
-    logs_pre, logs_suf = sums(logs)
-    negs_pre, negs_suf = sums(diff < 0.0)
+    # prefix[t] sums the first t factors, suffix[t] those from t on (built
+    # directly: -inf entries would make total-minus-prefix NaN)
+    zero = np.zeros((1, grid.size))
+    logs_pre = np.concatenate([zero, np.cumsum(logs, axis=0)])
+    logs_suf = np.concatenate([np.cumsum(logs[::-1], axis=0)[::-1], zero])
+    # z is sorted, so the sign of a term depends only on s = lead - pos:
+    # of its first `lead` factors x - z, max(s, 0) are negative, and of
+    # those behind, z - x for index lead + d + 1 on, max(-s - d - 1, 0) are
+    # negative or zero (a zero factor makes a vanished term)
+    pos = z.searchsorted(grid, side="right")
+    shift = np.arange(-z.size, z.size)
     reports = []
     for d in ds:
-        # mu_i uses factors z_{-e}..z_{i-1} as (x - z) and z_{i+d+1}..z_{n+e}
-        # as (z - x); with array offsets: first i+e factors, last m-(i+e+d+1).
-        i_vals = np.arange(-e, n - d + e + 1)
-        lead = i_vals + e               # factors taken from the front
-        tail_start = lead + d + 1       # array index where the suffix begins
-        # one C-ordered row per term i, so that np.add.reduce over axis 0
-        # adds the terms in order of i
-        L = logs_pre[lead] + logs_suf[tail_start]
-        flips = negs_pre[lead] + (m - tail_start)[:, None] - negs_suf[tail_start]
-        # (z - x) < 0 exactly where (x - z) > 0, hence the complement count
-        sign = np.where(flips % 2 == 0, 1.0, -1.0)
+        # mu_i, i = -e .. n-d+e, uses the first i+e factors as (x - z) and
+        # those from array index i+e+d+1 on as (z - x); one C-ordered row
+        # per term i, so that np.add.reduce over axis 0 adds them in order
+        R = n - d + 2 * e + 1
+        lead = np.arange(R)[:, None]    # factors taken from the front
+        L = logs_pre[:R] + logs_suf[d + 1:d + 1 + R]
+        flips = np.maximum(shift, 0) + np.maximum(-shift - d - 1, 0)
+        sign = np.where(flips % 2 == 0, 1.0, -1.0).take(lead - pos + z.size)
         with np.errstate(invalid="ignore"):
             mags = np.exp(L - L.max(axis=0))
         mags[np.isnan(mags)] = 0.0      # -inf minus -inf: a vanished term

@@ -59,6 +59,26 @@ class TestEval:
         assert code == 0
         assert len(out.strip().split("\n")) == 12
 
+    def test_negative_numbers_in_exponent_form(self, capsys):
+        # the CSV prints small values as -1e-05: they must be read back as
+        # numbers, not refused as options
+        base = ["eval", "--n", "4", "--d", "1"]
+        code, out, err = run_cli(base + ["--at", "-1e-3"], capsys)
+        assert (code, err) == (0, "")
+        assert (0, out, "") == run_cli(base + ["--at=-1e-3"], capsys)
+        code, out, err = run_cli(base + ["--interval", "-2e0", "1",
+                                         "--grid", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.split()] == [
+            "x", "-2.0", "-0.5", "1.0"]
+
+    @pytest.mark.parametrize("at", ["-inf", "-x"])
+    def test_other_dash_values_still_refused(self, at, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--n", "4", "--d", "1", "--at", at])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_huge_interval_evaluates(self):
         # the end-table rows below the lead one would hold h**4 =
         # (5e299)**4, which overflows; only the lead rows are formed (Runge

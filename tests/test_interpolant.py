@@ -579,15 +579,17 @@ class TestKernel:
         assert finite > 0
 
     @pytest.mark.parametrize("n,d,e", [(64, 12, 4), (1000, 14, 4), (4, 4, 4),
-                                       (30, 10, 10)])
+                                       (30, 10, 10),
+                                       (40_000, 8, 4)])     # two row steps
     def test_single_points_stay_off_the_batch_paths(self, n, d, e, rng,
                                                     monkeypatch):
         # a scalar call, compensated or not, forms its end coefficients on
-        # floats and never reaches the node blocks' zeta_eta or the sweep's
-        # _end_rows (a compensated point in the sweep took 20-40x longer)
+        # floats and its sums in 1-D rows: it never reaches the node blocks
+        # or their zeta_eta, nor the sweep or its _end_rows (a compensated
+        # point in the sweep took 20-40x longer)
         r = kernel_case(n, d, e, rng)
         rc = Interpolant(r.nodes, r.ys, d, e, compensated=True)
-        x = rng.uniform(-1.0, 1.0, 40)
+        x = rng.uniform(-1.0, 1.0, 40 if n < _BLOCK else 8)
         x = x[r.nodes.snap_indices(x) < 0]
         want = [r(x), rc(x), r.basis(0, x), r.basis(n, x),
                 lebesgue_function(r.nodes, r.params, x)]
@@ -595,15 +597,32 @@ class TestKernel:
         def refuse(*args):
             raise AssertionError("a single point took a batch path")
 
-        monkeypatch.setattr(interpolant, "zeta_eta", refuse)
-        monkeypatch.setattr(interpolant, "_end_rows", refuse)
+        for name in ("zeta_eta", "_end_rows", "_blocks", "_sweep"):
+            monkeypatch.setattr(interpolant, name, refuse)
         got = [[r.eval(v).value for v in x], [rc.eval(v).value for v in x],
                [r.basis(0, v) for v in x], [r.basis(n, v) for v in x],
                [lebesgue_function(r.nodes, r.params, v) for v in x]]
         for a, b in zip(got, want):
             assert np.array_equal(bits(a), bits(b))
-        with pytest.raises(AssertionError, match="batch path"):
-            rc(x[:2])
+        for f in (r, rc):
+            with pytest.raises(AssertionError, match="batch path"):
+                f(x[:2])
+
+    def test_single_point_at_a_zero_denominator(self):
+        # at x = 1e6 the denominator of this interpolant adds up to 0.0 and
+        # r(x) is -inf; a single point's sums are numpy scalars, so their
+        # quotient follows numpy, as a batch's does, and raises no
+        # ZeroDivisionError, compensated or not
+        nodes = NodeSet.equispaced(-5.0, 5.0, 3)
+        x = 1e6
+        for compensated in (False, True):
+            r = Interpolant.from_function(nodes, runge, 2, 2,
+                                          compensated=compensated)
+            with np.errstate(divide="ignore"):
+                vals = [r.eval(x).value, r(x), *r(np.array([x, x]))]
+                assert term_sums(r.weights, np.array([x]), r.ys)[1] == 0.0
+            assert vals[0] == -np.inf
+            assert np.array_equal(bits(vals), bits([vals[0]] * 4))
 
     def test_term_rows_refuses_mismatched_weights(self):
         # weights built for (6, 2) and passed with params (6, 3) gave the
