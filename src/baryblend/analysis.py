@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .interpolant import Interpolant, pointwise, term_sums
-from .nodes import NodeSet, validate_samples, whole
+from .nodes import NodeSet, real_array, validate_samples, whole
 from .oracle import term_rows  # noqa: F401  (the span tracer patches it here)
 from .weights import ExtParams, PrecomputedWeights
 
@@ -35,7 +35,7 @@ class ReferenceFunction:
     interval: tuple[float, float]
 
     def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+        return self.fn(real_array(x))
 
 
 _FUNCTIONS = {"runge": ReferenceFunction("runge", lambda x: 1.0 / (1.0 + x * x),
@@ -323,7 +323,7 @@ def gaussian_deviates(seed, count):
 
 def add_noise(ys, spec: NoiseSpec):
     """Samples plus i.i.d. Gaussian noise, one deviate per node in order."""
-    ys = np.asarray(ys, dtype=float)
+    ys = real_array(ys)
     if spec.sigma == 0.0:
         return ys.copy()
     return ys + spec.sigma * gaussian_deviates(spec.seed, ys.size)

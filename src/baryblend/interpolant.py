@@ -18,20 +18,22 @@ One kernel, :func:`term_sums`, forms the terms from the points and one
 :class:`PrecomputedWeights` and sums them; values, basis functions and the
 Lebesgue function are reductions of its sums. It runs the recurrence in
 three forms, each the fastest measured in its regime, and every form takes
-about ``32768 / m`` nodes a step at ``m`` points: a single point takes a
-short path of its own, off the node blocks, which runs each end node's
-chain on Python floats, where numpy's fixed cost per call would dominate,
-and forms and sums 1-D rows of up to 32,768 terms in a few numpy calls; a
-batch of ``2 <= m < 2048`` points takes node blocks and runs an end's ``d``
-recurrences side by side (a chain per node was 5-7x slower at 32 points);
-a larger or a compensated batch sweeps the nodes with its running sums in
-place, interior nodes in blocks (one a step from 8,193 points on) and each
-end node a step of its own, its row formed by its own chain just before
-that step. Every path adds the terms strictly left to right in node order
-from 0.0 (a 1-D row with the sequential ``np.add.accumulate``, which numpy
-would sum pairwise), so the scalar and vectorized paths produce
-bit-identical results. Optional two-term (Kahan) compensation is available
-behind a flag.
+about ``32768 / m`` nodes a step at ``m`` points, by the one budget of
+``_BLOCK = 32768`` doubles a step that the weights build reads too, on
+chunks of at most 32,768 points from :func:`pointwise`: a single point
+takes a short path of its own, off the node blocks, which runs each end
+node's chain on Python floats, where numpy's fixed cost per call would
+dominate, and forms and sums 1-D rows of up to 32,768 terms in a few numpy
+calls; a batch of ``2 <= m < 2048`` points (16 nodes a step or more) takes
+node blocks and runs an end's ``d`` recurrences side by side (a chain per
+node was 5-7x slower at 32 points); a larger or a compensated batch sweeps
+the nodes with its running sums in place, interior nodes in blocks (one a
+step from 8,193 points on) and each end node a step of its own, its row
+formed by its own chain just before that step. Every path adds the terms
+strictly left to right in node order from 0.0 (a 1-D row with the
+sequential ``np.add.accumulate``, which numpy would sum pairwise), so the
+scalar and vectorized paths produce bit-identical results. Optional
+two-term (Kahan) compensation is available behind a flag.
 
 Around the kernel, a small request pays a few numpy calls, not a few per
 node: :func:`pointwise` snaps a chunk against the snap radii that
@@ -48,19 +50,19 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .nodes import NodeSet, freeze, read_only, validate_samples, whole
+from .nodes import (NodeSet, freeze, read_only, real_array, validate_samples,
+                    whole)
 from .oracle import term_rows  # noqa: F401  (the span tracer patches it here)
-from .weights import ExtParams, PrecomputedWeights
+from .weights import _BLOCK, ExtParams, PrecomputedWeights
 
-_CHUNK = 32768
 # A batch of m points takes about _BLOCK // m nodes per step of the kernel
-# (a single point up to _BLOCK), in node blocks under _SWEEP_MIN points; from
-# there on the sweep, with its running sums updated in place, is faster, and
-# takes that many interior nodes a step, or one where that is 3 or fewer
-# (measured on a 2-vCPU Xeon, AVX-512, numpy 2.4, under term_sums' ufunc
-# buffer of _BUFSIZE elements).
-_BLOCK = 2 ** 15
-_SWEEP_MIN = 2048
+# (a single point up to _BLOCK), and pointwise hands it at most _BLOCK points
+# at once. Node blocks run while a step holds 16 nodes or more; from
+# _SWEEP_MIN points on the sweep, with its running sums updated in place, is
+# faster, and takes that many interior nodes a step, or one where that is 3
+# or fewer (measured on a 2-vCPU Xeon, AVX-512, numpy 2.4, under term_sums'
+# ufunc buffer of _BUFSIZE elements, a resource of its own).
+_SWEEP_MIN = _BLOCK // 16
 _BUFSIZE = 768
 
 
@@ -396,9 +398,14 @@ def _point_sums(weights, x, ys, col, compensated):
 
 
 def _point(nodes: NodeSet, x, at_nodes, off_nodes):
-    """Evaluate at one scalar ``x``: ``(at_nodes[j], j)`` when ``x`` snaps
-    to node ``j``, else ``(off_nodes(x as a one-point block), None)``."""
-    x = float(x)
+    """Evaluate at one real scalar ``x``: ``(at_nodes[j], j)`` when ``x``
+    snaps to node ``j``, else ``(off_nodes(x as a one-point block), None)``.
+    Anything else, a complex number or an array among it, is refused."""
+    if not isinstance(x, float):        # a float passes as it is
+        x = real_array(x)
+        if x.ndim:
+            raise ValueError("expected a scalar")
+        x = x.item()
     if not math.isfinite(x):
         raise ValueError("non-finite input")
     j = nodes.snap_index(x)
@@ -409,21 +416,21 @@ def _point(nodes: NodeSet, x, at_nodes, off_nodes):
 
 
 def pointwise(nodes: NodeSet, x, at_nodes, off_nodes):
-    """Evaluate at a scalar or an array ``x``, in chunks of 32,768 points.
+    """Evaluate at a scalar or an array ``x``, in chunks of _BLOCK points.
 
     A point that snaps to node ``j`` gets ``at_nodes[j]``; the other points
     of a chunk get ``off_nodes(points)``. Returns a float for scalar ``x``,
     which :func:`_point` evaluates, else an array shaped like ``x``.
     """
-    xv = np.asarray(x, dtype=float)
+    xv = real_array(x)
     if xv.ndim == 0:
-        return _point(nodes, xv, at_nodes, off_nodes)[0]
+        return _point(nodes, xv.item(), at_nodes, off_nodes)[0]
     flat = xv.ravel()
     if not np.isfinite(flat).all():
         raise ValueError("non-finite input")
     out = np.empty(flat.size)
-    for s in range(0, flat.size, _CHUNK):
-        block = flat[s:s + _CHUNK]
+    for s in range(0, flat.size, _BLOCK):
+        block = flat[s:s + _BLOCK]
         res = out[s:s + block.size]
         snap = nodes.snap_indices(block)
         if snap.max() < 0:              # no point snaps

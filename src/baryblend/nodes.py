@@ -17,6 +17,20 @@ def whole(v):
         return None
 
 
+def real_array(x):
+    """``x`` as ``np.asarray(x, dtype=float)`` gives it, refusing with
+    ``ValueError`` what that cast would drop or fail on: complex values (an
+    imaginary part, zero or not) and objects that are no numbers."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c" or x.dtype.kind == "O" and any(
+            isinstance(v, complex) for v in x.flat):
+        raise ValueError("complex input is not supported; pass real numbers")
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, OverflowError):
+        raise ValueError("input must be real numbers") from None
+
+
 def read_only(self, name, *value):
     """``__setattr__`` and ``__delattr__`` of an immutable class: every
     assignment is refused, and ``__init__`` sets attributes by
@@ -63,7 +77,7 @@ class NodeSet:
     __setattr__ = __delattr__ = read_only
 
     def __init__(self, xs):
-        xs = np.asarray(xs, dtype=float)
+        xs = real_array(xs)
         if xs.ndim != 1 or xs.size < 2:
             raise ValueError("need at least two nodes in a one-dimensional array")
         # the nodes between -inf and +inf: they are finite and strictly
@@ -122,16 +136,16 @@ class NodeSet:
         ``x`` counts as coincident when it lies within the snap radius of
         the nearest node.
         """
-        xs = self.xs
-        i = int(xs.searchsorted(x))
-        lo, hi = max(i - 1, 0), min(i, self.n)
-        dl, dh = abs(x - xs.item(lo)), abs(x - xs.item(hi))
-        j, dist = (lo, dl) if dl <= dh else (hi, dh)
+        # node i - 1 < x <= node i, read from the nodes between -inf and
+        # +inf as in snap_indices; a tie goes to the lower node
+        pad, i = self._pad, int(self.xs.searchsorted(x))
+        dl, dh = x - pad.item(i), pad.item(i + 1) - x
+        j, dist = (i, dh) if dh < dl else (i - 1, dl)
         return j if dist <= self.snap_radii.item(j) else None
 
     def snap_indices(self, x):
         """Vectorized :meth:`snap_index`: array of node indices, -1 for none."""
-        x = np.asarray(x, dtype=float)
+        x = real_array(x)
         # node hi - 1 < x <= node hi, with the nodes between -inf and +inf,
         # so that both distances are formed without a sign or a clip
         pad = self._pad
@@ -152,8 +166,8 @@ class NodeSet:
 
 
 def validate_samples(ys, node_count):
-    """Check and return samples as a read-only float array."""
-    ys = np.array(ys, dtype=float)
+    """Check and return samples as a read-only float array (a copy)."""
+    ys = np.array(real_array(ys))
     if ys.ndim != 1 or ys.size != node_count:
         raise ValueError(f"samples must be a flat array of length {node_count}")
     if not np.isfinite(ys).all():

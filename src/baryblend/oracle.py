@@ -78,17 +78,6 @@ def blend_form_value(nodes: NodeSet, ys, params: ExtParams, x):
     return num / den
 
 
-def blending_weights(nodes: NodeSet, params: ExtParams, x):
-    """The normalized blending functions at an off-node ``x``.
-
-    One weight per local interpolant (lower-end extras, interior, upper-end
-    extras, in that order); they sum to one.
-    """
-    vals = np.array([phi for phi, _, _ in
-                     _blend_functions(nodes, params, float(x))])
-    return vals / vals.sum()
-
-
 def _terms(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x):
     # term_rows' (T, offmask, snap), T empty where every point snaps, and
     # the arithmetic per off-node point, counted as the loops below run

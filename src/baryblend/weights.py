@@ -6,6 +6,10 @@ local polynomials are blended in at the interval ends, the one row of each
 end-correction table that the Horner-form evaluators read. Stored
 quantities are defined only up to one common factor, which cancels in the
 evaluation ratio; the factor is chosen to keep magnitudes O(1).
+
+Every chunked loop of the library steps by one budget of ``_BLOCK = 32768``
+doubles, the evaluator's included; a build on general nodes takes
+``32768 / (d + 1)`` windows a chunk, so no temporary grows with ``n``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ import numpy as np
 from .nodes import NodeSet, freeze, read_only, whole
 
 _EXTREME = "weight computation overflowed or underflowed; nodes too extreme"
-# Doubles in one chunk of window factors of a general-node weight build.
-_BLOCK = 2 ** 13
+# The one memory budget of the library's chunked loops, in doubles a step:
+# the window chunks, factor passes and end-row slices here, and the kernel's
+# node steps and pointwise's chunks of points, which interpolant imports.
+_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True)

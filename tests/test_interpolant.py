@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from baryblend import (ChebyshevBaseline, ExtParams, Interpolant, NodeSet,
-                       PrecomputedWeights, get_function, lebesgue_function)
+from baryblend import (ChebyshevBaseline, CubicSplineBaseline, ExtParams,
+                       Interpolant, NodeSet, NoiseSpec, PrecomputedWeights,
+                       add_noise, get_function, lebesgue_function)
 from baryblend import interpolant
 from baryblend.interpolant import (_BLOCK, _SWEEP_MIN, _point_coefs,
                                    end_coefs, term_rows, term_sums, zeta_eta)
@@ -143,6 +144,58 @@ class TestEval:
         xs = rng.uniform(-1.0, 5.0, 50)
         for x in xs:
             assert r.eval(float(x)).value == pytest.approx(2.5, rel=1e-14)
+
+    @pytest.mark.parametrize("z", [0.1 + 0.5j, 0.1 + 0.0j,
+                                   np.complex128(0.1 + 2j),
+                                   np.complex64(0.1 + 2j),
+                                   np.array([0.1 + 0.5j, 0.2]),
+                                   np.array([0.1, 0.2], dtype=complex),
+                                   np.array([np.complex128(0.1 + 2j), 0.2],
+                                            dtype=object)],
+                             ids=["complex", "zero-imag", "complex128",
+                                  "complex64", "array", "zero-imag-array",
+                                  "object-array"])
+    def test_complex_input_refused(self, z):
+        # a cast to float would drop the imaginary part, zero or not, and
+        # answer at 0.1 with no more than a ComplexWarning
+        nodes = NodeSet.equispaced(-1.0, 1.0, 4)
+        ys = np.arange(5.0)
+        r = Interpolant(nodes, ys, 2, 1)
+        spline = CubicSplineBaseline(nodes, ys)
+        cheb = ChebyshevBaseline(get_function("runge", (-1.0, 1.0)), 8)
+        z0 = np.asarray(z).flat[0]          # its first entry, still complex
+        calls = [lambda: NodeSet(np.linspace(0.0, 2.0, 3) + z0),
+                 lambda: Interpolant(nodes, ys + z0, 2, 1),
+                 lambda: Interpolant(nodes, ys + 0 * z0, 2, 1),
+                 lambda: CubicSplineBaseline(nodes, ys + 0 * z0),
+                 lambda: r(z), lambda: r.basis(2, z),
+                 lambda: lebesgue_function(nodes, r.params, z),
+                 lambda: spline(z), lambda: cheb(z),
+                 lambda: add_noise(ys + 0 * z0, NoiseSpec(0.1)),
+                 lambda: get_function("runge")(z)]
+        if np.ndim(z) == 0:
+            calls.append(lambda: r.eval(z))
+        for call in calls:
+            with pytest.raises(ValueError, match="complex"):
+                call()
+
+    @pytest.mark.parametrize("x", [None, [0.1], np.array([0.1]), "nan",
+                                   10 ** 400, object()],
+                             ids=["None", "list", "array", "nan-string",
+                                  "huge-int", "object"])
+    def test_eval_refuses_what_is_no_real_scalar(self, x):
+        r = Interpolant(NodeSet.equispaced(-1.0, 1.0, 4), np.arange(5.0), 2, 1)
+        with pytest.raises(ValueError):
+            r.eval(x)
+
+    def test_eval_takes_real_scalars_of_any_type(self):
+        r = Interpolant(NodeSet.equispaced(-1.0, 1.0, 4), np.arange(5.0), 2, 1)
+        want = r.eval(0.1)
+        for x in (np.float64(0.1), np.array(0.1), "0.1"):
+            assert r.eval(x) == want
+        assert r.eval(np.float32(0.1)) == r.eval(float(np.float32(0.1)))
+        assert r.eval(1) == r.eval(1.0) == (4.0, 4)
+        assert r(0.1) == want.value
 
     def test_non_integral_parameters_refused(self):
         # int() alone would truncate (3.9, 1.2) to a (3, 1) interpolant

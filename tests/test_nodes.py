@@ -98,3 +98,14 @@ class TestSnapping:
         nodes = NodeSet.equispaced(0, 1, 4)
         assert nodes.snap_index(-5.0) is None
         assert nodes.snap_index(5.0) is None
+
+    def test_tie_goes_to_lower_node_and_non_finite_snaps_nowhere(self):
+        # 1e-300 / 2 is exactly midway, within both radii (4 eps h)
+        nodes = NodeSet([0.0, 1e-300, 1.0])
+        x = 1e-300 / 2
+        assert nodes.snap_index(x) == 0
+        assert nodes.snap_indices([x]).tolist() == [0]
+        for x in (-np.inf, np.inf, np.nan):
+            assert nodes.snap_index(x) is None
+            with np.errstate(invalid="ignore"):     # inf - inf
+                assert nodes.snap_indices([x]).tolist() == [-1]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from baryblend import ExtParams, Interpolant, NodeSet
-from baryblend.oracle import (blend_form_value, blending_weights,
-                              denominator_sign_scans)
+from baryblend.oracle import blend_form_value, denominator_sign_scans
 
 from .conftest import perturbed_nodes
 
@@ -17,14 +16,6 @@ class TestBlendForm:
         nodes = NodeSet.equispaced(-1, 1, 8)
         with pytest.raises(ValueError, match="singular"):
             blend_form_value(nodes, np.ones(9), ExtParams(3, 1), float(nodes.xs[2]))
-
-    def test_blending_functions_partition(self):
-        # e=0, d=4, n=16: the normalized blending functions sum to one
-        nodes = NodeSet.equispaced(-1, 1, 16)
-        w = blending_weights(nodes, ExtParams(4, 0), 0.0125)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        w = blending_weights(nodes, ExtParams(6, 3), -0.77)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_reproduces_square_when_degree_allows(self, rng):
         # data from x**2 with d - e >= 2 comes back exactly

@@ -1,12 +1,14 @@
 from math import comb, factorial
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from baryblend import ExtParams, Interpolant, NodeSet, PrecomputedWeights
-from baryblend.weights import end_weight_tables, fh_weights
+from baryblend import (ExtParams, Interpolant, NodeSet, PrecomputedWeights,
+                       interpolant, lebesgue_function, weights)
+from baryblend.weights import _BLOCK, end_weight_tables, fh_weights
 
 from .conftest import (barycentric_product, log_perturbed_nodes,
                        perturbed_nodes)
@@ -98,12 +100,18 @@ def bit_cases():
     for n in (1, 2, 5, 64, 1000):
         for d in sorted({0, 1, min(14, n)} | ({n} if n <= 200 else set())):
             yield n, d
-    # 8192 // 14 = 585 windows per chunk: the second chunk starts at an
+    # 32768 // 17 = 1,927 windows per chunk: the second chunk starts at an
     # odd window, so its first window takes the negative sign
+    yield 2000, 16
+    # one chunk, one factor pass and one end-row slice at 2**15 doubles; a
+    # second pass needs d >= 181, where products of d factors leave the
+    # double range (d! does from d = 171); under the small budget of
+    # test_budget_moves_no_bit, d = 100 takes its factors in passes of 2
+    # and its end rows in slices of 1
     yield 1000, 13
-    # past d ~ 90 a chunk multiplies its factors in more than one pass, and
-    # the end rows take more than one slice, while the products stay finite
     yield 200, 100
+    # 32768 // 260 = 126 rows a slice: the end rows take two slices
+    yield 200, 130
 
 
 def unscale(nodes, d):
@@ -379,6 +387,19 @@ class TestPrecomputedWeights:
                                ExtParams(300, 1))
         assert isinstance(info.value.__context__, OverflowError)
 
+    def test_build_memory_stays_per_block(self, rng):
+        # a general-node build holds one chunk's factor table and window
+        # products, a few budgets of _BLOCK doubles, and no table of all
+        # n * (d + 1) factors (3.1 MiB here); it read 1.3 MiB
+        nodes = perturbed_nodes(-1.0, 1.0, 10_000, rng)
+        tracemalloc.start()
+        try:
+            PrecomputedWeights(nodes, ExtParams(40, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * _BLOCK
+
     @pytest.mark.parametrize("a,scale", [
         (2.0 ** -660, 2.0 ** 660),
         (1e-200, 2.0 ** 664),
@@ -394,3 +415,56 @@ class TestPrecomputedWeights:
         want = scaled(x * scale)
         assert np.all(np.isfinite(want))
         assert np.array_equal(r(x), want)
+
+
+def budget_outputs(seed):
+    """Every weight of the bit cases, and kernel outputs that cross chunk
+    and block edges, as one list of arrays (and refusals by type)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n, d in bit_cases():
+        for nodes in (NodeSet.equispaced(-1.0, 3.0, n),
+                      perturbed_nodes(-1.0, 3.0, n, rng),
+                      log_perturbed_nodes(-1.0, 3.0, n, rng)):
+            out.append(fh_weights(nodes, d))
+            for e in sorted({1, d // 2, d} - {0}) if d else ():
+                try:
+                    out += sum(end_weight_tables(nodes, ExtParams(d, e)), [])
+                except OverflowError as exc:
+                    out.append(type(exc).__name__)
+    for n, d, e in ((1000, 14, 4), (64, 12, 12), (20, 14, 4)):
+        nodes = log_perturbed_nodes(-1.0, 1.0, n, rng)
+        r = Interpolant(nodes, rng.standard_normal(n + 1), d, e)
+        rc = Interpolant(nodes, r.ys, d, e, compensated=True)
+        for m in (1, 10, 300, 1000):
+            x = rng.uniform(-1.0, 1.0, m)
+            x[::7] = nodes.xs[rng.integers(0, n + 1, x[::7].size)]
+            out += [r(x), rc(x), r.basis(n // 2, x),
+                    lebesgue_function(nodes, r.params, x),
+                    np.array([r.eval(v).value for v in x[:3]])]
+    return out
+
+
+def test_budget_moves_no_bit(monkeypatch):
+    # One budget sizes every chunked loop, and no output bit depends on it:
+    # under 2**8 doubles the weights build takes many window chunks, factor
+    # passes and end-row slices, pointwise hands the kernel 256 points at a
+    # time, a single point at n = 1000 takes four rows, and batches from
+    # 16 points on are swept, all of which 2**15 reaches only at sizes too
+    # large for tier-1.
+    want = budget_outputs(7)
+    small = 2 ** 8
+    with monkeypatch.context() as mp:
+        mp.setattr(weights, "_BLOCK", small)
+        mp.setattr(interpolant, "_BLOCK", small)
+        mp.setattr(interpolant, "_SWEEP_MIN", small // 16)
+        got = budget_outputs(7)
+    assert interpolant._BLOCK == weights._BLOCK == 2 ** 15
+    assert interpolant._SWEEP_MIN == 2 ** 15 // 16
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, str):
+            assert a == b
+        else:
+            assert np.array_equal(np.asarray(a).view(np.int64),
+                                  np.asarray(b).view(np.int64))
