@@ -26,14 +26,16 @@ node's chain on Python floats, where numpy's fixed cost per call would
 dominate, and forms and sums 1-D rows of up to 32,768 terms in a few numpy
 calls; a batch of ``2 <= m < 2048`` points (16 nodes a step or more) takes
 node blocks and runs an end's ``d`` recurrences side by side (a chain per
-node was 5-7x slower at 32 points); a larger or a compensated batch sweeps
-the nodes with its running sums in place, interior nodes in blocks (one a
-step from 8,193 points on) and each end node a step of its own, its row
-formed by its own chain just before that step. Every path adds the terms
-strictly left to right in node order from 0.0 (a 1-D row with the
-sequential ``np.add.accumulate``, which numpy would sum pairwise), so the
-scalar and vectorized paths produce bit-identical results. Optional
-two-term (Kahan) compensation is available behind a flag.
+node was 5-7x slower at 32 points) on the whole batch, in about
+``3 * d * m`` doubles past the budget (point slices measured 0.55-0.90x
+at d >= 50); a larger or a compensated batch sweeps the nodes with its
+running sums in place, interior nodes in blocks (one a step from 8,193
+points on) and each end node a step of its own, its row formed by its own
+chain just before that step. Every path adds the terms strictly left to
+right in node order from 0.0 (a 1-D row with the sequential
+``np.add.accumulate``, which numpy would sum pairwise), so the scalar and
+vectorized paths produce bit-identical results. Optional two-term (Kahan)
+compensation is available behind a flag.
 
 Around the kernel, a small request pays a few numpy calls, not a few per
 node: :func:`pointwise` snaps a chunk against the snap radii that
@@ -50,8 +52,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .nodes import (NodeSet, freeze, read_only, real_array, validate_samples,
-                    whole)
+from .nodes import (NodeSet, freeze, read_only, real_array, real_scalar,
+                    validate_samples, whole)
 from .oracle import term_rows  # noqa: F401  (the span tracer patches it here)
 from .weights import _BLOCK, ExtParams, PrecomputedWeights
 
@@ -170,33 +172,11 @@ def _end_rows(weights: PrecomputedWeights, x, h, g):
     yield from rows(range(max(lo, d), n + 1))
 
 
-def end_coefs(weights: PrecomputedWeights, x):
-    """Coefficients ``c_j(x) = fh[j] + corrections`` of the end nodes of
-    ``weights`` at the off-node points ``x`` (1-D).
-
-    Returns ``(lower, upper)``, each ``(d, x.size)``: ``lower[j]`` for node
-    ``j``, ``upper[i]`` for node ``n-d+1+i``. A node in both ends is right
-    only in the upper rows (its lower correction added first), which a
-    caller writes last. ``None`` when ``e = 0``, where every coefficient is
-    the constant ``fh[j]``.
-    """
-    if weights.e == 0:
-        return None
-    d, n, fh = weights.params.d, weights.nodes.n, weights.fh
-    lo = n + 1 - d                          # nodes lo .. d-1 are in both ends
-    lower, upper = zeta_eta(weights, x)
-    both = max(d - lo, 0)
-    lower += fh[:d, None]
-    upper[:both] += lower[d - both:]
-    upper[both:] += fh[lo + both:, None]
-    return lower, upper
-
-
 def _point_coefs(weights: PrecomputedWeights, x):
-    # end_coefs at one point, the float x, as two lists: each end node's
-    # chain of zeta_eta's steps in order on the stored float operands, whose
-    # + - * / round as numpy's do; a node in both ends is right only in the
-    # upper list, which term_sums writes last
+    # the end coefficients c_k = fh[k] + correction at the float x, as two
+    # lists: each end node's chain of zeta_eta's steps in order on the stored
+    # float operands, whose + - * / round as numpy's do; a node in both ends
+    # is right only in the upper list, which term_sums writes last
     d, e = weights.params.d, weights.e
     lo = weights.nodes.n + 1 - d            # nodes lo .. d-1 are in both ends
     k0 = d - e + 1                          # the first step
@@ -268,8 +248,8 @@ def term_sums(weights, x, ys=None, col=None, compensated=False):
 
     ``c_k`` is the constant ``fh[k]`` of ``weights`` (a
     :class:`PrecomputedWeights`, or any object with its ``nodes``, ``fh``
-    and ``e``), except at the ``d`` nodes at each end when ``e >= 1``: their
-    values per point are :func:`end_coefs`. Returns ``(num, den)`` with
+    and ``e``), except at the ``d`` nodes at each end when ``e >= 1``, where
+    :func:`zeta_eta`'s row is added. Returns ``(num, den)`` with
     ``den = sum_k t_k`` and ``num = sum_k t_k ys[k]``. With ``ys=None``,
     ``num`` is ``sum_k |t_k|`` instead; with ``col=j`` it is ``t_j``.
     ``compensated`` adds every sum with two-term (Kahan) compensation.
@@ -320,7 +300,12 @@ def _blocks(weights, x, ys, col):
     lo = size - nl                      # end nodes: k < nl and k >= lo
     h = min(_BLOCK // max(m, 1), size)
     if nl:
-        lower, upper = end_coefs(weights, x)
+        # c_k = fh[k] + correction; a node in both ends is right in upper
+        lower, upper = zeta_eta(weights, x)
+        both = max(nl - lo, 0)
+        lower += w[:nl, None]
+        upper[:both] += lower[nl - both:]
+        upper[both:] += w[lo + both:, None]
     T, V = np.empty((2, h + 1, m))
     T[0] = V[0] = 0.0
     diff = np.empty((h, m))
@@ -402,10 +387,7 @@ def _point(nodes: NodeSet, x, at_nodes, off_nodes):
     snaps to node ``j``, else ``(off_nodes(x as a one-point block), None)``.
     Anything else, a complex number or an array among it, is refused."""
     if not isinstance(x, float):        # a float passes as it is
-        x = real_array(x)
-        if x.ndim:
-            raise ValueError("expected a scalar")
-        x = x.item()
+        x = real_scalar(x)
     if not math.isfinite(x):
         raise ValueError("non-finite input")
     j = nodes.snap_index(x)

@@ -31,6 +31,14 @@ def real_array(x):
         raise ValueError("input must be real numbers") from None
 
 
+def real_scalar(x):
+    """``x`` as a float, through :func:`real_array`; an array is refused."""
+    x = real_array(x)
+    if x.ndim:
+        raise ValueError("expected a scalar")
+    return x.item()
+
+
 def read_only(self, name, *value):
     """``__setattr__`` and ``__delattr__`` of an immutable class: every
     assignment is refused, and ``__init__`` sets attributes by

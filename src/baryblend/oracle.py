@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nodes import NodeSet
+from .nodes import NodeSet, real_scalar
 from .weights import ExtParams, PrecomputedWeights
 
 
@@ -65,12 +65,12 @@ def _blend_functions(nodes: NodeSet, params: ExtParams, x):
 
 
 def blend_form_value(nodes: NodeSet, ys, params: ExtParams, x):
-    """Interpolant value at a scalar off-node ``x``, from the blend form.
+    """Interpolant value at a real scalar off-node ``x``, by the blend form.
 
     Raises when ``x`` coincides with a node (the blending weights are
-    singular there).
+    singular there), or is complex or an array.
     """
-    xs, ys, x = nodes.xs, np.asarray(ys, dtype=float), float(x)
+    xs, ys, x = nodes.xs, np.asarray(ys, dtype=float), real_scalar(x)
     num = den = 0.0
     for phi, i, j in _blend_functions(nodes, params, x):
         num += phi * _lagrange(xs, ys, i, j, x)
@@ -78,9 +78,10 @@ def blend_form_value(nodes: NodeSet, ys, params: ExtParams, x):
     return num / den
 
 
-def _terms(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x):
-    # term_rows' (T, offmask, snap), T empty where every point snaps, and
-    # the arithmetic per off-node point, counted as the loops below run
+def _coefs(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x):
+    # (C, xo, offmask, snap, ops): C[k, m] = c_k(xo[m]) at the off-node
+    # points xo, one contiguous row per node, and the arithmetic per
+    # off-node point, counted as the loops below run
     if params != weights.params or not (
             nodes is weights.nodes or np.array_equal(nodes.xs, weights.nodes.xs)):
         raise ValueError("weights were built for other nodes or parameters")
@@ -89,7 +90,6 @@ def _terms(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x):
     snap = nodes.snap_indices(x)
     off = snap < 0
     xo = x[off]
-    # C[j, m] = c_j(x_m), one contiguous row per node
     C = np.broadcast_to(weights.fh[:, None], (n + 1, xo.size)).copy()
     ops = 0
     if e > 0:
@@ -113,8 +113,15 @@ def _terms(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x):
                 ops += 3
             C[j] += sign * weights.upper_lead[j - lo] * vn * acc
             ops += 3
-    for k in range(n + 1):                  # C becomes T, transposed
-        C[k] /= xo - xs[k]
+    return C, xo, off, snap, ops
+
+
+def _terms(nodes: NodeSet, params: ExtParams, weights: PrecomputedWeights, x):
+    # term_rows' (T, offmask, snap), T empty where every point snaps, and
+    # the arithmetic per off-node point
+    C, xo, off, snap, ops = _coefs(nodes, params, weights, x)
+    for k in range(nodes.n + 1):            # C becomes T, transposed
+        C[k] /= xo - nodes.xs[k]
         ops += 2
     return C.T, off, snap, ops
 
@@ -169,12 +176,12 @@ def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False,
 
 
 def fh_value(interp, x):
-    """Value of an ``e = 0`` interpolant at a scalar ``x``, or its sample
-    where ``x`` snaps to a node: the classical barycentric sum as one loop
-    over the stored node weights."""
+    """Value of an ``e = 0`` interpolant at a real scalar ``x``, or its
+    sample where ``x`` snaps to a node: the classical barycentric sum as
+    one loop over the stored node weights."""
     if interp.e != 0:
         raise ValueError("fh_value requires e = 0")
-    x = float(x)
+    x = real_scalar(x)
     j = interp.nodes.snap_index(x)
     if j is not None:
         return float(interp.ys[j])

@@ -9,7 +9,9 @@ evaluation ratio; the factor is chosen to keep magnitudes O(1).
 
 Every chunked loop of the library steps by one budget of ``_BLOCK = 32768``
 doubles, the evaluator's included; a build on general nodes takes
-``32768 / (d + 1)`` windows a chunk, so no temporary grows with ``n``.
+``32768 / (d + 1)`` windows a chunk, so no temporary grows with ``n``,
+except the evaluator's node blocks: about ``3 * d * m`` doubles of end rows
+for a batch of ``m < 2048`` points.
 """
 
 from __future__ import annotations
@@ -225,6 +227,8 @@ class PrecomputedWeights:
     __setattr__ = __delattr__ = read_only
 
     def __init__(self, nodes: NodeSet, params: ExtParams):
+        if not isinstance(nodes, NodeSet) or not isinstance(params, ExtParams):
+            raise ValueError("weights take a NodeSet and an ExtParams")
         params.validate(nodes)
         d, e, xs = params.d, params.e, nodes.xs
         # out-of-range values are refused below, not reported as warnings

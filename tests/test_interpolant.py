@@ -8,8 +8,8 @@ from baryblend import (ChebyshevBaseline, CubicSplineBaseline, ExtParams,
                        add_noise, get_function, lebesgue_function)
 from baryblend import interpolant
 from baryblend.interpolant import (_BLOCK, _SWEEP_MIN, _point_coefs,
-                                   end_coefs, term_rows, term_sums, zeta_eta)
-from baryblend.oracle import dense_values, fh_value
+                                   term_rows, term_sums, zeta_eta)
+from baryblend.oracle import _coefs, blend_form_value, dense_values, fh_value
 
 from .conftest import (barycentric_product, log_perturbed_nodes,
                        perturbed_nodes)
@@ -112,8 +112,9 @@ class TestZetaEta:
         nodes = NodeSet.equispaced(-1, 1, 8)
         params = ExtParams(4, 2)
         pw = PrecomputedWeights(nodes, params)
-        with pytest.raises(ValueError, match="endpoint"):
-            zeta_eta(pw, np.array([-1.0]))
+        for x in ([-1.0], [1.0], [0.3, 1.0]):
+            with pytest.raises(ValueError, match="endpoint"):
+                zeta_eta(pw, np.array(x))
 
 
 def runge(x):
@@ -172,7 +173,9 @@ class TestEval:
                  lambda: lebesgue_function(nodes, r.params, z),
                  lambda: spline(z), lambda: cheb(z),
                  lambda: add_noise(ys + 0 * z0, NoiseSpec(0.1)),
-                 lambda: get_function("runge")(z)]
+                 lambda: get_function("runge")(z),
+                 lambda: blend_form_value(nodes, ys, r.params, z),
+                 lambda: fh_value(Interpolant(nodes, ys, 2), z)]
         if np.ndim(z) == 0:
             calls.append(lambda: r.eval(z))
         for call in calls:
@@ -196,6 +199,34 @@ class TestEval:
         assert r.eval(np.float32(0.1)) == r.eval(float(np.float32(0.1)))
         assert r.eval(1) == r.eval(1.0) == (4.0, 4)
         assert r(0.1) == want.value
+
+    def test_array_nodes_give_the_node_set_bits(self, rng):
+        # the constructor and from_function make a NodeSet of array or list
+        # nodes, and must then build and evaluate as from that NodeSet
+        nodes = log_perturbed_nodes(-1.0, 1.0, 30, rng)
+        ys = runge(nodes.xs)
+        want = Interpolant(nodes, ys, 6, 2)
+        x = rng.uniform(-1.1, 1.1, 50)
+        x[::7] = nodes.xs[::4]
+        for xs in (nodes.xs.copy(), list(nodes.xs)):
+            for r in (Interpolant(xs, ys, 6, 2),
+                      Interpolant.from_function(xs, runge, 6, 2)):
+                assert isinstance(r.nodes, NodeSet)
+                assert np.array_equal(bits(r.ys), bits(want.ys))
+                assert np.array_equal(bits(r.weights.fh),
+                                      bits(want.weights.fh))
+                assert np.array_equal(bits(r(x)), bits(want(x)))
+
+    @pytest.mark.parametrize("ys", [np.ones(4), np.ones(6), np.ones((5, 1)),
+                                    [0.0, 1.0, np.nan, 1.0, 0.0],
+                                    [0.0, 1.0, 2.0, 3.0, -np.inf]],
+                             ids=["short", "long", "2-D", "nan", "inf"])
+    def test_bad_samples_refused(self, ys):
+        nodes = NodeSet.equispaced(-1.0, 1.0, 4)
+        for build in (lambda: Interpolant(nodes, ys, 2, 1),
+                      lambda: CubicSplineBaseline(nodes, ys)):
+            with pytest.raises(ValueError, match="samples must be"):
+                build()
 
     def test_non_integral_parameters_refused(self):
         # int() alone would truncate (3.9, 1.2) to a (3, 1) interpolant
@@ -338,6 +369,14 @@ class TestOperationCount:
 
 def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
+
+
+def assert_same_bits(got, want):
+    """Equal bits, except that NaN meets NaN as a mask: which NaN an
+    operation returns is not part of its result."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(bits(got[~nan]), bits(want[~nan]))
 
 
 def traced_peak(f, x):
@@ -546,17 +585,23 @@ class TestKernel:
         assert np.array_equal(bits(r(x)), bits(want))
 
     @pytest.mark.parametrize("n,d,e", BLOCK_CASES)
-    def test_one_point_end_coefs_match_batch(self, n, d, e, rng):
-        # one point's end correction runs on floats, a batch's on arrays:
-        # the point must get the bits of its column in a 2-point batch
+    def test_one_point_end_coefs_match_batch(self, n, d, e, rng, monkeypatch):
+        # one point's zeta_eta rows must be the bits of its column in a
+        # 2-point batch; with e = 0 there are no corrections, and node
+        # blocks never form them
         r = kernel_case(n, d, e, rng)
         x = rng.uniform(-1.1, 1.1, 300)
-        for v in x[r.nodes.snap_indices(x) < 0][:100]:
-            one = end_coefs(r.weights, np.array([v]))
-            two = end_coefs(r.weights, np.array([v, 0.1]))
-            if e == 0:
-                assert one is None and two is None
-                continue
+        x = x[r.nodes.snap_indices(x) < 0][:100]
+        if e == 0:
+            def refuse(*args):
+                raise AssertionError("e = 0 formed end corrections")
+
+            monkeypatch.setattr(interpolant, "zeta_eta", refuse)
+            term_sums(r.weights, x[:2], r.ys)
+            return
+        for v in x:
+            one = zeta_eta(r.weights, np.array([v]))
+            two = zeta_eta(r.weights, np.array([v, 0.1]))
             for a, b in zip(one, two):
                 assert a.shape == (d, 1)
                 assert np.array_equal(bits(a[:, 0]), bits(b[:, 0]))
@@ -564,29 +609,24 @@ class TestKernel:
     @pytest.mark.parametrize("d,e", [(24, 24), (30, 22)])
     def test_one_point_end_coefs_match_batch_where_they_overflow(self, d, e):
         # one ulp outside the snap radius of an end node the Horner
-        # products overflow: both forms must reach the same inf and NaN
+        # products overflow: one point and a batch must reach the same inf,
+        # and NaN where the other does
         nodes = NodeSet.equispaced(-1.0, 1.0, 40)
         r = Interpolant.from_function(nodes, np.cos, d, e)
         edges = [np.nextafter(nodes.a + nodes.snap_radii[0], 2.0),
                  np.nextafter(nodes.b - nodes.snap_radii[40], -2.0)]
         for v in edges:
             with np.errstate(all="ignore"):
-                one = end_coefs(r.weights, np.array([v]))
-                two = end_coefs(r.weights, np.array([v, 0.5]))
+                one = zeta_eta(r.weights, np.array([v]))
+                two = zeta_eta(r.weights, np.array([v, 0.5]))
             assert not all(np.isfinite(a).all() for a in one)
             for a, b in zip(one, two):
-                assert np.array_equal(bits(a[:, 0]), bits(b[:, 0]))
-
-    def test_one_point_end_coefs_refuse_an_endpoint(self, rng):
-        r = kernel_case(30, 10, 4, rng)
-        for v in (r.nodes.a, r.nodes.b):
-            with pytest.raises(ValueError, match="endpoint"):
-                end_coefs(r.weights, np.array([v]))
+                assert_same_bits(a[:, 0], b[:, 0])
 
     @pytest.mark.parametrize("n,d,e", [c for c in BLOCK_CASES if c[2]])
     def test_point_coefs_match_batch(self, n, d, e, rng):
-        # a single point's float chains must give the bits of its column in
-        # a 2-point batch, also one ulp outside the snap radius of an end
+        # a single point's float chains must give the bits of the oracle's
+        # coefficient rows, also one ulp outside the snap radius of an end
         # node; a node in both ends is right in the upper list only
         r = kernel_case(n, d, e, rng)
         nodes, k = r.nodes, min(d, n + 1 - d)
@@ -594,12 +634,14 @@ class TestKernel:
         x = np.append(x[nodes.snap_indices(x) < 0][:100],
                       [np.nextafter(nodes.a + nodes.snap_radii[0], 2.0),
                        np.nextafter(nodes.b - nodes.snap_radii[n], -2.0)])
-        for v in x:
+        with np.errstate(all="ignore"):
+            C, _, off, _, _ = _coefs(nodes, r.params, r.weights, x)
+        assert off.all()
+        for v, want in zip(x, C.T):
             with np.errstate(all="ignore"):
                 lower, upper = _point_coefs(r.weights, float(v))
-                two = end_coefs(r.weights, np.array([v, 0.1]))
-            assert np.array_equal(bits(lower[:k]), bits(two[0][:k, 0]))
-            assert np.array_equal(bits(upper), bits(two[1][:, 0]))
+            assert_same_bits(np.array(lower[:k]), want[:k])
+            assert_same_bits(np.array(upper), want[n + 1 - d:])
 
     @pytest.mark.parametrize("n,d,e", BLOCK_CASES)
     def test_terms_match_dense_rows(self, n, d, e, rng):

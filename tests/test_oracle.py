@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from baryblend import ExtParams, Interpolant, NodeSet
-from baryblend.oracle import blend_form_value, denominator_sign_scans
+from baryblend.oracle import blend_form_value, denominator_sign_scans, fh_value
 
 from .conftest import perturbed_nodes
 
@@ -16,6 +16,32 @@ class TestBlendForm:
         nodes = NodeSet.equispaced(-1, 1, 8)
         with pytest.raises(ValueError, match="singular"):
             blend_form_value(nodes, np.ones(9), ExtParams(3, 1), float(nodes.xs[2]))
+
+    @pytest.mark.parametrize("x", [np.array([0.1]), [0.1]],
+                             ids=["array", "list"])
+    def test_array_points_refused(self, x):
+        # complex points are checked with the library's, in test_interpolant
+        nodes, ys = NodeSet.equispaced(-1.0, 1.0, 4), np.arange(5.0)
+        r = Interpolant(nodes, ys, 2)
+        with pytest.raises(ValueError):
+            blend_form_value(nodes, ys, ExtParams(2, 1), x)
+        with pytest.raises(ValueError):
+            fh_value(r, x)
+
+    def test_real_scalars_keep_their_bits(self):
+        # every real scalar type is read at its float value, and fh_value
+        # returns the sample where x snaps to a node
+        nodes, ys = NodeSet.equispaced(-1.0, 1.0, 4), np.arange(5.0)
+        r, params = Interpolant(nodes, ys, 2), ExtParams(2, 1)
+        for x in (0.1, np.float64(0.1), np.array(0.1)):
+            assert blend_form_value(nodes, ys, params, x) == 2.1999999999999997
+            assert fh_value(r, x) == r.eval(0.1).value
+        x32 = np.float32(0.1)
+        assert (blend_form_value(nodes, ys, params, x32)
+                == blend_form_value(nodes, ys, params, float(x32)))
+        assert fh_value(r, x32) == fh_value(r, float(x32))
+        for j, v in enumerate(nodes.xs):
+            assert fh_value(r, np.nextafter(v, 2.0)) == ys[j]
 
     def test_reproduces_square_when_degree_allows(self, rng):
         # data from x**2 with d - e >= 2 comes back exactly

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from baryblend import (ExtParams, Interpolant, NodeSet, PrecomputedWeights,
-                       interpolant, lebesgue_function, weights)
+                       interpolant, lebesgue_constant, lebesgue_function,
+                       weights)
 from baryblend.weights import _BLOCK, end_weight_tables, fh_weights
 
 from .conftest import (barycentric_product, log_perturbed_nodes,
@@ -349,6 +350,17 @@ class TestPrecomputedWeights:
                     seq[0] *= 2
         assert r.eval(-0.97).value == want
         assert r([-0.97, 0.31])[0] == want
+
+    def test_wrong_argument_types_refused(self):
+        # array nodes and (d, e) tuples failed inside the build with an
+        # AttributeError, in all three entry points
+        nodes, params = NodeSet.equispaced(-1.0, 1.0, 8), ExtParams(3, 1)
+        for args in ((nodes.xs, params), (list(nodes.xs), params),
+                     (nodes, (3, 1)), (nodes.xs, (3, 1))):
+            for build in (PrecomputedWeights, lebesgue_constant,
+                          lambda *a: lebesgue_function(*a, 0.1)):
+                with pytest.raises(ValueError, match="NodeSet and an ExtPar"):
+                    build(*args)
 
     @pytest.mark.parametrize("a,n,params", [
         (500.0, 400, ExtParams(300, 0)),    # 2**300 / 300! underflows
