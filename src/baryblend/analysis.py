@@ -10,15 +10,14 @@ interpolants. Sweep results serialize to CSV with columns
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
 from itertools import chain
 from numbers import Real
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .interpolant import Interpolant, pointwise, term_sums
-from .nodes import NodeSet, real_array, validate_samples, whole
+from .nodes import NodeSet, checked_make, real_array, validate_samples, whole
 from .oracle import term_rows  # noqa: F401  (the span tracer patches it here)
 from .weights import ExtParams, PrecomputedWeights
 
@@ -27,8 +26,7 @@ SENTINEL = "NA"
 
 # -- reference functions ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ReferenceFunction:
+class ReferenceFunction(NamedTuple):
     """A named closed-form function with a default interval."""
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
@@ -72,8 +70,8 @@ def get_function(spec, interval=None):
 
 # -- grids ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple("GridSpec", [("count", int),
+                                        ("per_subinterval", Optional[int])])):
     """Uniform evaluation grid over an interval, endpoints included.
 
     ``per_subinterval``, when set, switches to a node-relative grid with
@@ -81,19 +79,19 @@ class GridSpec:
     search), which :meth:`points` refuses without the nodes or on another
     interval. Both must be integral (``3.0`` counts as ``3``).
     """
-    count: int = 100_001
-    per_subinterval: Optional[int] = None
 
-    def __post_init__(self):
-        count = whole(self.count)
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, count=100_001, per_subinterval=None):
+        count = whole(count)
         if count is None or count < 2:
             raise ValueError("grid count must be an integer >= 2")
-        object.__setattr__(self, "count", count)
-        if self.per_subinterval is not None:
-            k = whole(self.per_subinterval)
-            if k is None or k < 1:
+        if per_subinterval is not None:
+            per_subinterval = whole(per_subinterval)
+            if per_subinterval is None or per_subinterval < 1:
                 raise ValueError("per_subinterval must be an integer >= 1")
-            object.__setattr__(self, "per_subinterval", k)
+        return super().__new__(cls, count, per_subinterval)
 
     def points(self, a, b, nodes: NodeSet | None = None):
         if self.per_subinterval is None:
@@ -119,8 +117,7 @@ class GridSpec:
 
 # -- error measurement --------------------------------------------------
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Sup and L1 error of an approximant against a reference function."""
     linf: float
     l1: float
@@ -144,8 +141,7 @@ def error_report(approx, f: ReferenceFunction, grid: GridSpec) -> ErrorReport:
 
 # -- Lebesgue function and constant --------------------------------------
 
-@dataclass(frozen=True)
-class LebesgueReport:
+class LebesgueReport(NamedTuple):
     """Estimated Lebesgue constant and where it was attained."""
     lambda_max: float
     argmax_x: float
@@ -280,8 +276,7 @@ class CubicSplineBaseline:
 
 # -- reproducible sample noise --------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(NamedTuple("NoiseSpec", [("sigma", float), ("seed", int)])):
     """Seeded Gaussian perturbation of the samples.
 
     SplitMix64 supplies 64-bit words from the seed, two words become one
@@ -290,18 +285,20 @@ class NoiseSpec:
     numpy does not promise across CPUs (on an AVX-512 host its SIMD
     ``np.log`` and ``math.log`` differ on about 0.3% of uniforms), so the
     deviates are reproducible on one CPU family, not across them. The seed
-    must be integral (``3.0`` counts as ``3``).
+    must be integral (``3.0`` counts as ``3``) and in ``[0, 2**64)``, the
+    seeds whose streams differ.
     """
-    sigma: float
-    seed: int = 0
 
-    def __post_init__(self):
-        if not isinstance(self.sigma, Real) or not 0.0 <= self.sigma < math.inf:
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, sigma, seed=0):
+        if not isinstance(sigma, Real) or not 0.0 <= sigma < math.inf:
             raise ValueError("sigma must be a finite number >= 0")
-        seed = whole(self.seed)
-        if seed is None:
-            raise ValueError("noise seed must be an integer")
-        object.__setattr__(self, "seed", seed)
+        seed = whole(seed)
+        if seed is None or not 0 <= seed < 2 ** 64:
+            raise ValueError("noise seed must be an integer in [0, 2**64)")
+        return super().__new__(cls, sigma, seed)
 
 
 def _splitmix64(seed, count):
@@ -339,8 +336,7 @@ def equispaced_samples(f: ReferenceFunction, n, noise: NoiseSpec | None = None):
 
 # -- sweeps -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     d: int
     e: int
     linf: Optional[float]
@@ -348,8 +344,7 @@ class ScanCell:
     lebesgue: Optional[float]
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Rectangular (d, e) sweep at fixed n; invalid cells carry ``None``."""
     n: int
     cells: list[ScanCell]
@@ -385,8 +380,7 @@ def scan_de(f: ReferenceFunction, n, d_range, e_range, grid: GridSpec,
     return ScanResult(nodes.n, cells, seed, sigma)
 
 
-@dataclass(frozen=True)
-class ConvergeRow:
+class ConvergeRow(NamedTuple):
     method: str
     n: int
     d: Optional[int]
@@ -416,7 +410,7 @@ def converge_n(f: ReferenceFunction, configs, n_list, grid: GridSpec,
                              "('ext', d, e), ('cheb',) or ('spline',)")
         d = e = None
         if kind in ("fh", "ext"):
-            d, e = astuple(ExtParams(cfg[1], cfg[2] if kind == "ext" else 0))
+            d, e = ExtParams(cfg[1], cfg[2] if kind == "ext" else 0)
         for n in n_list:
             if (d is not None and d > n) or (kind == "spline" and n < 3):
                 rows.append(ConvergeRow(_label(cfg), n, d, e, None, None))
@@ -447,8 +441,7 @@ def _label(cfg):
 RUNGE_TABLE_ROWS = ((10, 0), (20, 1), (40, 3), (80, 7), (160, 10))
 
 
-@dataclass(frozen=True)
-class RungeTableRow:
+class RungeTableRow(NamedTuple):
     n: int
     d_fh: int
     linf_fh: float
@@ -491,26 +484,22 @@ def _csv(header, rows):
 
 def scan_csv(result: ScanResult) -> str:
     return _csv("n,d,e,linf,l1,lebesgue,seed,sigma", (
-        (result.n, c.d, c.e, c.linf, c.l1, c.lebesgue, result.seed,
-         result.sigma) for c in result.cells))
+        (result.n, *c, result.seed, result.sigma) for c in result.cells))
 
 
 def converge_csv(rows: list[ConvergeRow],
                  noise: NoiseSpec | None = None) -> str:
     seed, sigma = (noise.seed, noise.sigma) if noise else (None, None)
     return _csv("method,n,d,e,linf,l1,lebesgue,seed,sigma", (
-        (r.method, r.n, r.d, r.e, r.linf, r.l1, None, seed, sigma)
-        for r in rows))
+        (*r, None, seed, sigma) for r in rows))
 
 
 def runge_table_csv(rows: list[RungeTableRow]) -> str:
-    return _csv("n,d_fh,linf_fh,l1_fh,d_ext,e_ext,linf_ext,l1_ext",
-                map(astuple, rows))
+    return _csv("n,d_fh,linf_fh,l1_fh,d_ext,e_ext,linf_ext,l1_ext", rows)
 
 
 def lebesgue_csv(n, d, e, report: LebesgueReport) -> str:
-    return _csv("n,d,e,lebesgue,argmax_x",
-                [(n, d, e, report.lambda_max, report.argmax_x)])
+    return _csv("n,d,e,lebesgue,argmax_x", [(n, d, e, *report)])
 
 
 def eval_csv(xs, values) -> str:

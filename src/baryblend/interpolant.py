@@ -194,11 +194,13 @@ def _point_coefs(weights: PrecomputedWeights, x):
     return out[0], out[1][::-1]
 
 
-def _add(total, v, comp):
-    # total += v in place, Kahan-compensated by the array comp
-    y = v - comp
-    s = total + y
-    np.subtract(s - total, y, out=comp)
+def _add(total, v, comp, y, s):
+    # total += v in place, Kahan-compensated by the array comp: the steps
+    # y = v - comp, s = total + y, comp = (s - total) - y in rows y and s
+    np.subtract(v, comp, out=y)
+    np.add(total, y, out=s)
+    np.subtract(s, total, out=comp)
+    comp -= y
     total[...] = s
 
 
@@ -217,7 +219,8 @@ def _sweep(weights, x, ys, col, compensated):
     acc = np.zeros((2, m))
     p = 0 if col is None else 1
     sums = acc[p:]
-    comp = np.zeros_like(sums) if compensated else None
+    if compensated:     # the compensation terms, and _add's scratch rows
+        comp, y, s = (np.zeros_like(sums) for _ in range(3))
     one = (*block[0], (block[0, p:],))
     for k0, k1, c in _end_rows(weights, x, h, block[0, 1]):
         r = k1 - k0
@@ -233,12 +236,12 @@ def _sweep(weights, x, ys, col, compensated):
         else:
             np.multiply(tk, ys.item(k0) if r == 1 else ys[k0:k1, None],
                         out=vk)
-        if comp is None:
+        if not compensated:
             for row in rows:
                 sums += row
         else:
             for row in rows:
-                _add(sums, row, comp)
+                _add(sums, row, comp, y, s)
     return acc[0], acc[1]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -44,6 +45,12 @@ def read_only(self, name, *value):
     assignment is refused, and ``__init__`` sets attributes by
     :func:`freeze`."""
     raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+def checked_make(cls, fields):
+    """``_make`` of a NamedTuple that checks its fields in ``__new__``, and
+    so of its ``_replace`` too, which calls ``_make``."""
+    return cls(*fields)
 
 
 def freeze(obj, **attrs):
@@ -103,8 +110,10 @@ class NodeSet:
         radii = np.maximum(np.abs(xs), (b - a) / n)
         radii *= 4.0 * _EPS
         radii.flags.writeable = False
+        # snap_index reads both through memoryviews, whose items are floats
         freeze(self, xs=xs, a=a, b=b, n=n, spacing=None, snap_radii=radii,
-               _pad=pad)
+               _pad=pad, _pad_view=memoryview(pad),
+               _radii_view=memoryview(radii))
 
     @classmethod
     def equispaced(cls, a, b, n):
@@ -145,11 +154,13 @@ class NodeSet:
         the nearest node.
         """
         # node i - 1 < x <= node i, read from the nodes between -inf and
-        # +inf as in snap_indices; a tie goes to the lower node
-        pad, i = self._pad, int(self.xs.searchsorted(x))
-        dl, dh = x - pad.item(i), pad.item(i + 1) - x
+        # +inf (pad[i] is node i - 1) as in snap_indices; a tie goes to the
+        # lower node
+        pad = self._pad_view
+        i = bisect_left(pad, x, 1) - 1
+        dl, dh = x - pad[i], pad[i + 1] - x
         j, dist = (i, dh) if dh < dl else (i - 1, dl)
-        return j if dist <= self.snap_radii.item(j) else None
+        return j if dist <= self._radii_view[j] else None
 
     def snap_indices(self, x):
         """Vectorized :meth:`snap_index`: array of node indices, -1 for none."""

@@ -20,7 +20,8 @@ with the endpoint nodes repeated ``e`` extra times each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +69,11 @@ def blend_form_value(nodes: NodeSet, ys, params: ExtParams, x):
     """Interpolant value at a real scalar off-node ``x``, by the blend form.
 
     Raises when ``x`` coincides with a node (the blending weights are
-    singular there), or is complex or an array.
+    singular there), or is not finite, complex or an array.
     """
     xs, ys, x = nodes.xs, np.asarray(ys, dtype=float), real_scalar(x)
+    if not math.isfinite(x):
+        raise ValueError("non-finite input")
     num = den = 0.0
     for phi, i, j in _blend_functions(nodes, params, x):
         num += phi * _lagrange(xs, ys, i, j, x)
@@ -176,12 +179,14 @@ def dense_values(nodes: NodeSet, ys, params: ExtParams, x, compensated=False,
 
 
 def fh_value(interp, x):
-    """Value of an ``e = 0`` interpolant at a real scalar ``x``, or its
-    sample where ``x`` snaps to a node: the classical barycentric sum as
-    one loop over the stored node weights."""
+    """Value of an ``e = 0`` interpolant at a real finite scalar ``x``, or
+    its sample where ``x`` snaps to a node: the classical barycentric sum
+    as one loop over the stored node weights."""
     if interp.e != 0:
         raise ValueError("fh_value requires e = 0")
     x = real_scalar(x)
+    if not math.isfinite(x):
+        raise ValueError("non-finite input")
     j = interp.nodes.snap_index(x)
     if j is not None:
         return float(interp.ys[j])
@@ -194,8 +199,7 @@ def fh_value(interp, x):
     return float(num / den)
 
 
-@dataclass(frozen=True)
-class SignScanReport:
+class SignScanReport(NamedTuple):
     """Outcome of a denominator positivity scan."""
     min_value: float          # min over the grid of the normalized denominator
     argmin_x: float

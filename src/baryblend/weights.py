@@ -16,13 +16,13 @@ for a batch of ``m < 2048`` points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 
-from .nodes import NodeSet, freeze, read_only, whole
+from .nodes import NodeSet, checked_make, freeze, read_only, whole
 
 _EXTREME = "weight computation overflowed or underflowed; nodes too extreme"
 # The one memory budget of the library's chunked loops, in doubles a step:
@@ -31,30 +31,28 @@ _EXTREME = "weight computation overflowed or underflowed; nodes too extreme"
 _BLOCK = 2 ** 15
 
 
-@dataclass(frozen=True)
-class ExtParams:
+class ExtParams(NamedTuple("ExtParams", [("d", int), ("e", int)])):
     """Blend parameters: local degree ``d`` and end-interpolant count ``e``.
 
     ``e = 0`` gives the classical construction; each unit of ``e`` adds one
     extra local polynomial interpolant of reduced degree at each end of the
     interval. Both must be integral (``3.0`` counts as ``3``, ``2.7`` is
     refused). Validity (``0 <= d <= n`` and ``0 <= e <= d``) is checked
-    against a node set. Instances are immutable and hashable.
+    against a node set. Instances are immutable, hashable tuples ``(d, e)``.
     """
 
-    d: int
-    e: int = 0
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        d, e = whole(self.d), whole(self.e)
+    def __new__(cls, d, e=0):
+        d, e = whole(d), whole(e)
         if d is None or e is None:
             raise ValueError("d and e must be integers")
         if d < 0:
             raise ValueError("d must satisfy 0 <= d <= n")
         if not 0 <= e <= d:
             raise ValueError("e must satisfy 0 <= e <= d")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
+        return super().__new__(cls, d, e)
 
     def validate(self, nodes: NodeSet):
         if self.d > nodes.n:

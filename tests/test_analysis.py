@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,19 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="integer"):
             GridSpec(2.5)
         assert GridSpec(3.0).points(0, 1).size == 3
+
+    def test_every_construction_route_checks(self):
+        with pytest.raises(ValueError, match="grid count"):
+            GridSpec()._replace(count=1)
+        with pytest.raises(ValueError, match="per_subinterval"):
+            GridSpec._make([5, 0])
+        grid = GridSpec()._replace(per_subinterval=3.0)
+        assert grid == (100_001, 3) and type(grid.per_subinterval) is int
+
+    def test_pickles_to_an_equal_spec(self):
+        for grid in (GridSpec(), GridSpec(7, per_subinterval=3)):
+            back = pickle.loads(pickle.dumps(grid))
+            assert back == grid and type(back) is GridSpec
 
 
 class TestLebesgue:
@@ -324,6 +339,29 @@ class TestNoise:
     def test_non_integral_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             NoiseSpec(0.1, seed)
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2 ** 64, 2 ** 64 + 5])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # the generator masks its seed to 64 bits: 2**64 + 5 would draw the
+        # deviates of 5, and -5 those of 2**64 - 5
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(0.1, seed)
+
+    def test_64_bit_seeds_accepted(self):
+        assert NoiseSpec(0.1, 0).seed == 0
+        assert NoiseSpec(0.1, 2 ** 64 - 1).seed == 2 ** 64 - 1
+
+    def test_every_construction_route_checks(self):
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseSpec(0.1)._replace(sigma=-1.0)
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(0.1)._replace(seed=-1)
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseSpec._make([float("nan"), 0])
+        spec = NoiseSpec(0.1, 3)
+        assert pickle.loads(pickle.dumps(spec)) == spec == (0.1, 3)
+        sigma, seed = spec
+        assert (sigma, seed) == (0.1, 3)
 
     def test_integral_seed_counts_as_int(self):
         spec = NoiseSpec(0.1, 3.0)

@@ -162,6 +162,15 @@ class TestScan:
             assert err == ("error: d and e must be non-empty ranges of "
                            "integers >= 0\n")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_exits_2(self, seed, capsys):
+        code, out, err = run_cli(
+            ["scan", "--n", "8", "--dmax", "2", "--emax", "1", "--grid", "11",
+             "--sigma", "0.1", "--seed", seed], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "seed" in err
+
     def test_seeded_scan_records_noise_columns(self, capsys):
         code, out, _ = run_cli(
             ["scan", "--n", "8", "--dmax", "2", "--emax", "0",

@@ -1,3 +1,5 @@
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -761,6 +763,31 @@ class TestKernel:
         block = np.full((1001, 2), 1e-16)
         block[0] = 1.0
         assert np.array_equal(np.add.reduce(block, axis=0), [1.0, 1.0])
+
+    def test_row_accumulate_adds_left_to_right(self, rng):
+        # _point_sums relies on this: np.add.accumulate along each row of a
+        # (2, k) block adds the entries one after the other, a left fold (a
+        # pairwise sum would give 1 + 1e-13 on the first block)
+        rows = np.full((2, 1001), 1e-16)
+        rows[:, 0] = 1.0
+        assert np.add.accumulate(rows, axis=1)[:, -1].tolist() == [1.0, 1.0]
+        rows = rng.standard_normal((2, 1000))
+        rows *= 10.0 ** rng.integers(-8, 9, rows.shape)
+        want = [functools.reduce(operator.add, row) for row in rows.tolist()]
+        assert np.add.accumulate(rows, axis=1)[:, -1].tolist() == want
+
+    def test_last_axis_product_accumulate_is_a_left_fold(self, rng):
+        # end_weight_tables relies on this: np.multiply.accumulate along the
+        # last axis of a (2, s, d) block multiplies each row from the left;
+        # (1e300 * 1e10) * 1e-300 overflows, which any other order avoids
+        f = np.array([[[1e300, 1e10, 1e-300]]])
+        with np.errstate(over="ignore"):
+            assert np.multiply.accumulate(f, axis=2)[0, 0, -1] == np.inf
+        f = rng.uniform(0.5, 2.0, (2, 7, 40))
+        f[rng.random(f.shape) < 0.5] *= -1.0
+        want = [[functools.reduce(operator.mul, row) for row in side]
+                for side in f.tolist()]
+        assert np.multiply.accumulate(f, axis=2)[:, :, -1].tolist() == want
 
     def test_chunk_memory_stays_small_at_large_n(self, rng):
         # a dense chunk x (n+1) coefficient block would take 313 MiB

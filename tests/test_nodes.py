@@ -3,6 +3,18 @@ import pytest
 
 from baryblend import NodeSet
 
+from .conftest import perturbed_nodes
+
+
+def searchsorted_snap_index(nodes, x):
+    """:meth:`NodeSet.snap_index` as numpy's ``searchsorted`` and ``item``
+    form it, the reference for the bisect form."""
+    pad = np.concatenate(([-np.inf], nodes.xs, [np.inf]))
+    i = int(nodes.xs.searchsorted(x))
+    dl, dh = x - pad.item(i), pad.item(i + 1) - x
+    j, dist = (i, dh) if dh < dl else (i - 1, dl)
+    return j if dist <= nodes.snap_radii.item(j) else None
+
 
 class TestEquispaced:
     def test_midpoint_by_symmetry(self):
@@ -98,6 +110,29 @@ class TestSnapping:
         nodes = NodeSet.equispaced(0, 1, 4)
         assert nodes.snap_index(-5.0) is None
         assert nodes.snap_index(5.0) is None
+
+    def test_bisect_matches_searchsorted(self, rng):
+        # 60 equispaced and jittered sets; at each node, its radius either
+        # side and 1 ulp beyond it, the gap midpoints, random points and
+        # the non-finite ones
+        sets = []
+        for n in (1, 2, 3, 5, 8, 13, 31, 64, 200, 1000):
+            for a, b in ((-1.0, 1.0), (-5.0, 5.0), (1e3, 1e3 + 1e-6)):
+                sets += [NodeSet.equispaced(a, b, n),
+                         perturbed_nodes(a, b, n, rng, 0.45)]
+        checked = 0
+        for nodes in sets:
+            xs, r = nodes.xs, nodes.snap_radii
+            h = nodes.reference_spacing()
+            pts = np.concatenate([
+                xs, xs - r, xs + r, np.nextafter(xs - r, -np.inf),
+                np.nextafter(xs + r, np.inf), (xs[1:] + xs[:-1]) / 2,
+                rng.uniform(nodes.a - h, nodes.b + h, 64),
+                [-np.inf, np.inf, np.nan]])
+            for x in pts.tolist():
+                assert nodes.snap_index(x) == searchsorted_snap_index(nodes, x)
+            checked += pts.size
+        assert len(sets) == 60 and checked > 50_000
 
     def test_tie_goes_to_lower_node_and_non_finite_snaps_nowhere(self):
         # 1e-300 / 2 is exactly midway, within both radii (4 eps h)

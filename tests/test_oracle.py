@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,20 @@ class TestBlendForm:
             blend_form_value(nodes, ys, ExtParams(2, 1), x)
         with pytest.raises(ValueError):
             fh_value(r, x)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_refused(self, x):
+        # as Interpolant.eval refuses them, with no RuntimeWarning on the way
+        nodes, ys = NodeSet.equispaced(-1.0, 1.0, 4), np.arange(5.0)
+        r = Interpolant(nodes, ys, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                blend_form_value(nodes, ys, ExtParams(2, 1), x)
+            with pytest.raises(ValueError, match="non-finite"):
+                fh_value(r, x)
+            with pytest.raises(ValueError, match="non-finite"):
+                r.eval(x)
 
     def test_real_scalars_keep_their_bits(self):
         # every real scalar type is read at its float value, and fh_value

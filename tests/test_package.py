@@ -34,3 +34,14 @@ def test_term_rows_is_the_oracle_one():
     bb = baryblend
     assert bb.interpolant.term_rows is bb.analysis.term_rows is bb.oracle.term_rows
     assert not hasattr(bb.PrecomputedWeights, "check")
+
+
+def test_specs_and_records_are_named_tuples():
+    an = baryblend.analysis
+    records = [baryblend.weights.ExtParams, baryblend.oracle.SignScanReport,
+               an.ReferenceFunction, an.GridSpec, an.NoiseSpec, an.ErrorReport,
+               an.LebesgueReport, an.ScanCell, an.ScanResult, an.ConvergeRow,
+               an.RungeTableRow, baryblend.EvalOutcome]
+    for cls in records:
+        assert issubclass(cls, tuple) and cls._fields, cls
+        assert not hasattr(cls, "__dataclass_fields__"), cls

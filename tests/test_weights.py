@@ -1,5 +1,6 @@
 from math import comb, factorial
 
+import pickle
 import tracemalloc
 import warnings
 
@@ -237,6 +238,27 @@ class TestExtParams:
         assert len({ExtParams(3, 1), ExtParams(3, 1), ExtParams(3, 0)}) == 2
         with pytest.raises(AttributeError):
             ExtParams(3, 1).d = 4
+
+    def test_every_construction_route_checks(self):
+        # _replace builds through _make, which a plain NamedTuple fills
+        # without the checks of __new__
+        with pytest.raises(ValueError, match="0 <= e <= d"):
+            ExtParams(2, 1)._replace(e=5)
+        with pytest.raises(ValueError, match="0 <= e <= d"):
+            ExtParams._make([2, 9])
+        with pytest.raises(ValueError, match="integers"):
+            ExtParams(2, 1)._replace(d=2.5)
+        assert ExtParams(2, 1)._replace(e=2.0) == ExtParams(2, 2)
+        assert type(ExtParams._make([3.0, 1]).d) is int
+
+    def test_a_tuple_of_its_fields(self):
+        p = ExtParams(3.0, 1)
+        d, e = p
+        assert (d, e) == p == (3, 1) and p[0] is d and type(d) is int
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and type(back) is ExtParams
+        with pytest.raises(AttributeError):     # no __dict__ to take it
+            p.f = 4
 
 
 class TestEndWeightTables:
